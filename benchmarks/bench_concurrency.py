@@ -2,8 +2,9 @@
 
 The tentpole claim of the event-driven core is that tunnel count stops
 costing threads: N tunnels share one loop thread instead of N receive
-loops.  This benchmark measures both I/O modes at 10/100/500 concurrent
-tunnels and records
+loops.  This benchmark measures started tunnels (``reactor``) against the
+seed's thread-per-tunnel receive loop (``threaded``, replicated in
+``benchmarks/seed_io.py``) at 10/100/500 concurrent tunnels and records
 
 * **io_threads_added** — threads the I/O layer spawned for N tunnels
   (reactor: O(loops), threaded: O(N)), and
@@ -32,6 +33,7 @@ from typing import Optional
 import pytest
 
 from benchmarks.common import save_table
+from benchmarks.seed_io import SeedReceiver
 from repro.core.tunnel import Tunnel
 from repro.security.cipher import (
     RecordCipher,
@@ -69,12 +71,16 @@ def _secure_pair(name: str) -> tuple[SecureChannel, SecureChannel]:
 
 
 def bench_mode(mode: str, n_tunnels: int, frames_per_tunnel: int) -> dict:
-    """One cell of the sweep: N receiving tunnels in ``mode``."""
+    """One cell of the sweep: N receiving tunnels in ``mode``.
+
+    ``reactor`` starts a :class:`Tunnel` per channel; ``threaded`` gives
+    each channel the seed's own receive thread instead.
+    """
     total = n_tunnels * frames_per_tunnel
     threads_before = threading.active_count()
 
     senders: list[SecureChannel] = []
-    receivers: list[Tunnel] = []
+    receivers: list = []
     seen = [0]
     done = threading.Event()
     lock = threading.Lock()
@@ -87,12 +93,14 @@ def bench_mode(mode: str, n_tunnels: int, frames_per_tunnel: int) -> dict:
 
     for index in range(n_tunnels):
         secure_a, secure_b = _secure_pair(f"conc-{mode}-{index}")
-        tunnel = Tunnel(secure_b, f"recv-{index}")
-        tunnel.on_frame(FrameKind.DATA, on_frame)
-        tunnel.start(io=mode)
-        assert tunnel.mode == mode, f"wanted {mode}, got {tunnel.mode}"
+        if mode == "threaded":
+            receiver = SeedReceiver(secure_b, on_frame, name=f"recv-{index}").start()
+        else:
+            receiver = Tunnel(secure_b, f"recv-{index}")
+            receiver.on_frame(FrameKind.DATA, on_frame)
+            receiver.start()
         senders.append(secure_a)
-        receivers.append(tunnel)
+        receivers.append(receiver)
 
     # Setup (thread creation, channel registration) is outside the clock.
     threads_during = threading.active_count()
@@ -106,9 +114,9 @@ def bench_mode(mode: str, n_tunnels: int, frames_per_tunnel: int) -> dict:
 
     for sender in senders:
         sender.close()
-    for tunnel in receivers:
-        tunnel.close()
-        tunnel.join(timeout=10.0)
+    for receiver in receivers:
+        receiver.close()
+        receiver.join(timeout=10.0)
 
     return {
         "mode": mode,
@@ -155,8 +163,8 @@ def run_experiment(quick: bool = False, tunnels: Optional[int] = None) -> dict:
         "rows": rows,
         "notes": (
             "reactor = selectors loop owning every channel; threaded = one "
-            "receive loop thread per tunnel (the seed model, REPRO_IO="
-            "threaded). io_threads_added counts threads the I/O layer "
+            "receive loop thread per tunnel (the seed model, replicated "
+            "in benchmarks/seed_io.py). io_threads_added counts threads the I/O layer "
             "spawned for N tunnels; frames_per_s is aggregate across all "
             "tunnels with a single round-robin producer. "
             "reactor_vs_threaded_frames_x compares the modes at the "

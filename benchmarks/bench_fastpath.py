@@ -10,10 +10,12 @@ replica of the seed implementation (kept here as the "before" baseline):
 * **codec** — encode + incremental decode frames/s under small TCP-like
   reads: seed FrameDecoder (full buffer copy + tail re-slice per frame)
   vs the consumed-offset decoder.
-* **tunnel** — end-to-end frames/s over real TCP loopback through the
-  Tunnel receive loop: seed-equivalent secure channel (legacy cipher,
-  one send syscall per frame, re-encode-on-receive accounting) vs the
-  fast path (negotiated suite, batched vectored writes).
+* **tunnel** — end-to-end frames/s over real TCP loopback: the seed
+  receive path (legacy cipher, one send syscall per frame,
+  re-encode-on-receive accounting, copying decode, a receive thread per
+  tunnel — ``benchmarks/seed_io.py``) vs the fast path (negotiated
+  suite, batched vectored writes, a started Tunnel on the reactor with
+  zero-copy decode).
 
 Writes ``BENCH_fastpath.json`` at the repo root so the perf trajectory is
 tracked from this PR onward; run via ``python benchmarks/run_all.py
@@ -25,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import socket
 import struct
 import threading
 import time
@@ -33,6 +36,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.common import save_table
+from benchmarks.seed_io import CopyingTcpChannel, SeedReceiver
 from repro.core.tunnel import Tunnel
 from repro.security.cipher import (
     RecordCipher,
@@ -48,7 +52,7 @@ from repro.transport.frames import (
     encode_frame,
     _decode_frame_prefix,
 )
-from repro.transport.tcp import TcpListener, connect_tcp
+from repro.transport.reactor import ReactorTcpChannel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_fastpath.json"
@@ -235,12 +239,15 @@ def bench_codec(quick: bool = False) -> list[dict]:
     return rows
 
 
-def _tunnel_pair(legacy: bool) -> tuple[Tunnel, Tunnel, TcpListener]:
-    """Secure tunnel pair over real TCP loopback, skipping the (separately
+def _secure_tcp_pair(legacy: bool) -> tuple[SecureChannel, SecureChannel]:
+    """Secure channel pair over real TCP loopback, skipping the (separately
     benchmarked) handshake: both ends get ciphers from one master secret."""
-    listener = TcpListener()
-    client_raw = connect_tcp(listener.host, listener.port)
-    server_raw = listener.accept(timeout=10.0)
+    channel_cls = CopyingTcpChannel if legacy else ReactorTcpChannel
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        client_sock = socket.create_connection(server.getsockname())
+        server_sock, _ = server.accept()
+    client_raw = channel_cls(client_sock, name="bench-a")
+    server_raw = channel_cls(server_sock, name="bench-b")
     master = random_master_secret()
     ck = derive_session_keys(master, "client")
     sk = derive_session_keys(master, "server")
@@ -252,17 +259,18 @@ def _tunnel_pair(legacy: bool) -> tuple[Tunnel, Tunnel, TcpListener]:
         suite = "shake128"  # what two upgraded proxies negotiate
         a = SecureChannel(client_raw, RecordCipher(ck, suite), RecordCipher(sk, suite), peer)
         b = SecureChannel(server_raw, RecordCipher(sk, suite), RecordCipher(ck, suite), peer)
-    return Tunnel(a, "a"), Tunnel(b, "b"), listener
+    return a, b
 
 
 def bench_tunnel(quick: bool = False) -> list[dict]:
-    """End-to-end frames/s through Tunnel receive loops on TCP loopback."""
+    """End-to-end frames/s through tunnels on TCP loopback."""
     payload = b"\x42" * 4096
     count = 300 if quick else 3000
     batch = 32
     rows = []
     for label, legacy in [("seed", True), ("fastpath", False)]:
-        sender, receiver, listener = _tunnel_pair(legacy)
+        secure_a, secure_b = _secure_tcp_pair(legacy)
+        sender = Tunnel(secure_a, "a")
         done = threading.Event()
         seen = [0]
 
@@ -271,8 +279,12 @@ def bench_tunnel(quick: bool = False) -> list[dict]:
             if seen[0] >= count:
                 done.set()
 
-        receiver.on_frame(FrameKind.MPI, on_frame)
-        receiver.start()
+        if legacy:
+            receiver = SeedReceiver(secure_b, on_frame).start()
+        else:
+            receiver = Tunnel(secure_b, "b")
+            receiver.on_frame(FrameKind.MPI, on_frame)
+            receiver.start()
         frames = [
             Frame(kind=FrameKind.MPI, channel=1, headers={"rank": 0}, payload=payload)
             for _ in range(batch)
@@ -291,7 +303,6 @@ def bench_tunnel(quick: bool = False) -> list[dict]:
         elapsed = time.perf_counter() - start
         sender.close()
         receiver.close()
-        listener.close()
         rows.append(
             {
                 "variant": label,

@@ -5,7 +5,8 @@ are **shared-nothing** — no lock, queue, or registry is touched by two
 workers — so aggregate capacity is the *sum* of per-worker capacity.
 This benchmark demonstrates that with a 10k-connection sweep over
 1/2/4-worker fleets, and isolates the zero-copy receive path's
-per-frame saving with a ``REPRO_ZEROCOPY`` on/off ablation.
+per-frame saving with an ablation against the seed's copying decode
+(``CopyingTcpChannel`` in ``benchmarks/seed_io.py``).
 
 Methodology on shared-core hosts
 --------------------------------
@@ -29,7 +30,9 @@ Results land in ``BENCH_shard.json`` at the repo root.  Run directly
 
 from __future__ import annotations
 
+import functools
 import json
+import multiprocessing
 import os
 import socket
 import sys
@@ -44,9 +47,11 @@ if str(Path(__file__).resolve().parents[1]) not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from benchmarks.common import save_table
+from benchmarks.seed_io import CopyingTcpChannel
 from repro.core.protocol import ControlMessage, Op
 from repro.core.shardmgr import ShardManager
 from repro.transport.frames import FrameDecoder, encode_frame
+from repro.transport.reactor import Reactor, ReactorTcpChannel
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULT_PATH = REPO_ROOT / "BENCH_shard.json"
@@ -91,20 +96,25 @@ class _Conn:
         self.sock.close()
 
 
-def _open_fleet_conns(manager: ShardManager, tunnels: int) -> dict[int, list[_Conn]]:
-    """Open ``tunnels`` connections and group them by serving shard.
+def _open_conns(address: tuple[str, int], tunnels: int) -> list[_Conn]:
+    """Open ``tunnels`` connections, each tagged with its serving shard.
 
     Discovery is batched: one PING rides out on every connection before
     any reply is read, so the round trips overlap.
     """
-    host, port = manager.address
-    conns = [_Conn(host, port) for _ in range(tunnels)]
+    conns = [_Conn(*address) for _ in range(tunnels)]
     for conn in conns:
         conn.send_pings(1)
-    by_shard: dict[int, list[_Conn]] = {}
     for conn in conns:
         reply = ControlMessage.from_frame(conn.read_frames(1)[0])
         conn.shard = reply.body["shard"]
+    return conns
+
+
+def _open_fleet_conns(manager: ShardManager, tunnels: int) -> dict[int, list[_Conn]]:
+    """Open ``tunnels`` connections and group them by serving shard."""
+    by_shard: dict[int, list[_Conn]] = {}
+    for conn in _open_conns(manager.address, tunnels):
         by_shard.setdefault(conn.shard, []).append(conn)
     return by_shard
 
@@ -169,30 +179,50 @@ def bench_fleet(workers: int, tunnels: int, budget: int, mode=None) -> dict:
         manager.stop()
 
 
-def bench_zero_copy(tunnels: int, budget: int) -> dict:
-    """Single-worker per-frame cost with the zero-copy path on vs off.
+def _echo_server(copying: bool, ready) -> None:
+    """Ablation server (a spawned process): one reactor loop answering
+    every PING with a PONG, decoding zero-copy or, with ``copying``,
+    with the seed's copying decode."""
+    channel_cls = CopyingTcpChannel if copying else ReactorTcpChannel
+    reactor = Reactor(loops=1, name="zero-copy-ablation").start()
+    listener = socket.create_server(("127.0.0.1", 0), backlog=1024)
+    ready.send(listener.getsockname())
 
-    ``REPRO_ZEROCOPY`` is read by the worker at spawn (inherited env),
-    so the off cell is exactly the PR 3 copying receive baseline.
-    """
+    def on_batch(channel, frames):
+        replies = []
+        for frame in frames:
+            message = ControlMessage.from_frame(frame)
+            replies.append(
+                message.reply(Op.PONG, {"echo": message.body, "shard": 0}).to_frame()
+            )
+        channel.send_many(replies)
+
+    while True:
+        conn, _ = listener.accept()
+        channel = channel_cls(conn, reactor=reactor)
+        reactor.add_channel(channel, on_batch=functools.partial(on_batch, channel))
+
+
+def bench_zero_copy(tunnels: int, budget: int) -> dict:
+    """Single-loop per-frame cost of the zero-copy decode vs the seed's
+    copying decode, each served by its own spawned process."""
+    ctx = multiprocessing.get_context("spawn")
     rates = {}
-    for setting in ("1", "0"):
-        os.environ["REPRO_ZEROCOPY"] = setting
+    for copying in (False, True):
+        parent_end, child_end = ctx.Pipe()
+        server = ctx.Process(target=_echo_server, args=(copying, child_end), daemon=True)
+        server.start()
         try:
-            manager = ShardManager(shards=1, name=f"bench-zc{setting}").start()
-            try:
-                by_shard = _open_fleet_conns(manager, tunnels)
-                conns = [c for group in by_shard.values() for c in group]
-                frames_per_conn = max(2, budget // tunnels)
-                _blast(conns, frames_per_conn)  # warm-up
-                rates[setting] = _best_blast(conns, frames_per_conn)
-                for conn in conns:
-                    conn.close()
-            finally:
-                manager.stop()
+            conns = _open_conns(parent_end.recv(), tunnels)
+            frames_per_conn = max(2, budget // tunnels)
+            _blast(conns, frames_per_conn)  # warm-up
+            rates[copying] = _best_blast(conns, frames_per_conn)
+            for conn in conns:
+                conn.close()
         finally:
-            os.environ.pop("REPRO_ZEROCOPY", None)
-    on, off = rates["1"], rates["0"]
+            server.terminate()
+            server.join(timeout=10.0)
+    on, off = rates[False], rates[True]
     return {
         "zero_copy_frames_per_s": round(on, 1),
         "copying_frames_per_s": round(off, 1),
@@ -236,8 +266,8 @@ def run_experiment(quick: bool = False, tunnels: int | None = None) -> dict:
             "with every connection active at once — on a cpu_count=1 "
             "host it measures the core, not the fleet.  zero_copy "
             "compares the recv_into/memoryview receive path against the "
-            "copying baseline (REPRO_ZEROCOPY=0, the PR 3 behaviour) on "
-            "a single worker.  Every cell reports the best of three "
+            "seed's copying decode (benchmarks/seed_io.py) on a single "
+            "reactor loop in its own process.  Every cell reports the best of three "
             "blasts: single ~2s cells on a shared core swing with "
             "background load, and best-of estimates capacity."
         ),

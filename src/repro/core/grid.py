@@ -35,12 +35,7 @@ from repro.security.rsa import RsaKeyPair
 from repro.security.tickets import TicketService
 from repro.security.tokens import TokenService, auth_mode
 from repro.transport.inproc import InprocFabric
-from repro.transport.reactor import (
-    ReactorTcpListener,
-    connect_tcp_reactor,
-    io_mode,
-)
-from repro.transport.tcp import TcpListener, connect_tcp
+from repro.transport.reactor import ReactorTcpListener, connect_tcp_reactor
 
 __all__ = ["Grid", "GridError"]
 
@@ -69,21 +64,18 @@ class Grid:
         key_bits: int = 512,
         channel_wrapper: Optional[Callable[[Any], Any]] = None,
         handshake_retry: Optional[RetryPolicy] = None,
-        io: Optional[str] = None,
         heartbeat_interval: Optional[float] = None,
     ):
         """``channel_wrapper`` interposes on every dialed raw channel —
         the chaos suite injects faults there; ``handshake_retry`` governs
         redials when a tunnel handshake is interrupted mid-flight.
 
-        ``io`` selects the I/O engine (``"reactor"`` | ``"threaded"``,
-        default from ``$REPRO_IO``); ``heartbeat_interval`` arms each
-        proxy's jittered heartbeat timer on the shared reactor so the
-        failure detectors run without caller discipline."""
+        ``heartbeat_interval`` arms each proxy's jittered heartbeat timer
+        on the shared reactor so the failure detectors run without caller
+        discipline."""
         if transport not in ("inproc", "tcp"):
             raise GridError(f"unknown transport: {transport!r}")
         self.transport = transport
-        self.io = io_mode(io)
         self.heartbeat_interval = heartbeat_interval
         self.clock = clock or time.time
         self.key_bits = key_bits
@@ -102,7 +94,7 @@ class Grid:
         self.sites: dict[str, Site] = {}
         self.proxies: dict[str, ProxyServer] = {}
         self._fabric = InprocFabric()
-        self._tcp_listeners: dict[str, TcpListener] = {}
+        self._tcp_listeners: dict[str, ReactorTcpListener] = {}
         self._connected_pairs: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
         self._shard_managers: list[Any] = []
@@ -152,7 +144,6 @@ class Grid:
             directory=self.directory,
             users=self.users,
             acl=self.acl,
-            io=self.io,
         )
         proxy.ledger = self.ledger
         self._attach_tokens(proxy)
@@ -189,7 +180,6 @@ class Grid:
             directory=self.directory,
             users=self.users,
             acl=self.acl,
-            io=self.io,
         )
         proxy.ledger = self.ledger
         self._attach_tokens(proxy)
@@ -200,10 +190,7 @@ class Grid:
     def _make_address(self, proxy_name: str) -> str:
         if self.transport == "inproc":
             return f"{proxy_name}.tunnel"
-        if self.io == "reactor":
-            listener: TcpListener = ReactorTcpListener()
-        else:
-            listener = TcpListener()
+        listener = ReactorTcpListener()
         self._tcp_listeners[proxy_name] = listener
         return f"{listener.host}:{listener.port}"
 
@@ -220,10 +207,7 @@ class Grid:
             raw = self._fabric.connect(address)
         else:
             host, _, port = address.rpartition(":")
-            if self.io == "reactor":
-                raw = connect_tcp_reactor(host, int(port))
-            else:
-                raw = connect_tcp(host, int(port))
+            raw = connect_tcp_reactor(host, int(port))
         if self.channel_wrapper is not None:
             raw = self.channel_wrapper(raw)
         return raw

@@ -127,7 +127,6 @@ class ProxyServer:
         retry_policy: Optional[RetryPolicy] = None,
         suspect_after: float = 3.0,
         dead_after: float = 10.0,
-        io: Optional[str] = None,
         dispatch_workers: int = 4,
     ):
         self.name = name
@@ -140,9 +139,6 @@ class ProxyServer:
         self.directory = directory
         self.users = users or UserDirectory()
         self.acl = acl or AccessControlList(self.users)
-        #: I/O mode for this proxy's tunnels: "reactor" | "threaded" |
-        #: None (resolve from $REPRO_IO at tunnel start)
-        self.io = io
         self._tunnels: dict[str, Tunnel] = {}
         self._tunnel_lock = threading.Lock()
         self._tracker = RequestTracker()
@@ -359,7 +355,7 @@ class ProxyServer:
             self._tunnels[tunnel.peer_name] = tunnel
         self.last_heard[tunnel.peer_name] = self.clock()
         self.health.watch(tunnel.peer_name)
-        tunnel.start(self.io)
+        tunnel.start()
 
     def _cancel_inflight_for_peer(self, tunnel: Tunnel) -> None:
         with self._inflight_lock:
@@ -1559,7 +1555,7 @@ class ProxyServer:
             tunnel.on_frame_batch(
                 FrameKind.CONTROL, lambda fs: self._on_control_batch(tunnel, fs)
             )
-            tunnel.start(self.io)
+            tunnel.start()
             result["tunnel"] = tunnel
 
         server = threading.Thread(  # gridlint: disable=GL102 -- one-shot peer for the loopback secure handshake; both sides block until it completes

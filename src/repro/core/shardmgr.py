@@ -51,8 +51,8 @@ from repro.obs import ObsHub
 from repro.obs.metrics import fold_snapshots
 from repro.transport.channel import Channel
 from repro.transport.errors import ChannelClosed, TransportError, TransportTimeout
+from repro.transport.reactor import Reactor, ReactorTcpChannel, connect_tcp_reactor
 from repro.transport.shard import ShardAcceptor, pick_mode, recv_socket
-from repro.transport.tcp import TcpChannel, connect_tcp
 
 __all__ = ["ShardClient", "ShardManager", "worker_main"]
 
@@ -76,7 +76,6 @@ def worker_main(config: dict) -> None:
     ``host``/``port`` (reuseport: where to bind; fdpass: informational),
     ``handoff_path`` (fdpass only), ``dispatch_workers``.
     """
-    from repro.transport.reactor import Reactor, ReactorTcpChannel
     from repro.core.dispatch import DispatchPipeline
 
     shard_id = config["shard"]
@@ -260,7 +259,7 @@ def _connect_unix(path: str, deadline: float) -> socket.socket:
 
 
 class _CtrlLink:
-    """Parent's end of one worker control channel (threaded, low-rate)."""
+    """Parent's end of one worker control channel (blocking, low-rate)."""
 
     def __init__(self, shard_id: int, pid: int, channel: Channel):
         self.shard_id = shard_id
@@ -447,7 +446,7 @@ class ShardManager:
                 conn, _ = self._ctrl_listener.accept()
             except OSError:
                 return
-            channel = TcpChannel(conn, name=f"{self.name}-ctrl")
+            channel = ReactorTcpChannel(conn, name=f"{self.name}-ctrl")
             try:
                 hello = ControlMessage.from_frame(channel.recv(timeout=10.0))
             except Exception:
@@ -628,7 +627,7 @@ class ShardClient:
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self.timeout = timeout
         try:
-            self._channel = connect_tcp(host, port, timeout=timeout)
+            self._channel = connect_tcp_reactor(host, port, timeout=timeout)
         except OSError as exc:
             raise PeerUnavailable(f"shard frontend unreachable: {exc}") from exc
 

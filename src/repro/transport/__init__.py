@@ -9,13 +9,18 @@ channels for data traffic and control.  This package provides:
     frames are untrusted input) and length-delimited frames with distinct
     CONTROL and DATA classes.
 :mod:`repro.transport.channel`
-    The abstract channel/listener interfaces every transport implements.
+    The abstract channel/listener interfaces every transport implements,
+    including the reactor protocol (``poll_recv``/``set_ready_callback``)
+    that lets the shared event loop drive any channel.
+:mod:`repro.transport.reactor`
+    The one I/O engine: the shared event loop every channel rides, and
+    the TCP channel, listener and dial function it owns.
 :mod:`repro.transport.inproc`
     In-process transport: thread-safe channel pairs and a named fabric,
     used by unit/integration tests and the single-process runtime.
 :mod:`repro.transport.tcp`
-    Real TCP transport over localhost sockets, demonstrating that the
-    middleware runs on an actual network stack.
+    Socket-level helpers of the TCP transport (vectored partial writes),
+    demonstrating that the middleware runs on an actual network stack.
 :mod:`repro.transport.udp`
     Reliable frames over real UDP datagrams (ARQ with cumulative ACKs
     and retransmission) — the paper's layer diagram names UDP alongside
@@ -52,7 +57,11 @@ from repro.transport.faulty import (
     faulty_pair,
 )
 from repro.transport.inproc import InprocChannel, InprocFabric, channel_pair
-from repro.transport.tcp import TcpChannel, TcpListener, connect_tcp
+from repro.transport.reactor import (
+    ReactorTcpChannel,
+    ReactorTcpListener,
+    connect_tcp_reactor,
+)
 from repro.transport.udp import UdpChannel, udp_pair
 
 __all__ = [
@@ -71,13 +80,13 @@ __all__ = [
     "InprocChannel",
     "InprocFabric",
     "Listener",
-    "TcpChannel",
-    "TcpListener",
+    "ReactorTcpChannel",
+    "ReactorTcpListener",
     "TransportError",
     "TransportTimeout",
     "UdpChannel",
     "channel_pair",
-    "connect_tcp",
+    "connect_tcp_reactor",
     "udp_pair",
     "decode_frame",
     "decode_value",

@@ -5,10 +5,9 @@ threads) uses these channels.  Semantics match TCP: ordered, reliable,
 close propagates to the peer, receive drains buffered frames before
 reporting closure.
 
-The channel is reactor-capable: frames can be consumed with blocking
-``recv`` or drained non-blocking via ``poll_recv`` under a ready
-callback, so tunnels over in-process pairs run on the shared event loop
-exactly like tunnels over TCP.  An optional ``maxsize`` bounds the
+Frames can be consumed with blocking ``recv`` or drained non-blocking
+via ``poll_recv`` under a ready callback, so tunnels over in-process
+pairs run on the shared event loop exactly like tunnels over TCP.  An optional ``maxsize`` bounds the
 peer's inbound buffer — a slow consumer then exerts real backpressure
 (``send`` blocks up to ``send_timeout`` and raises
 :class:`~repro.transport.errors.ChannelBusy`), mirroring a full TCP
@@ -124,10 +123,6 @@ class InprocChannel(Channel):
         nbytes = len(encode_frame(frame)) if self._measure_wire else len(frame.payload)
         self.stats.on_receive(nbytes)
         return frame
-
-    @property
-    def supports_reactor(self) -> bool:
-        return True
 
     def set_ready_callback(self, callback: Optional[Callable[[], None]]) -> None:
         self._ready_cb = callback

@@ -1,11 +1,9 @@
 """Shared reactor I/O: a selectors-based event loop for the whole stack.
 
-The seed runtime spent one thread per ``TcpChannel`` (socket reader) plus
-one per :class:`~repro.core.tunnel.Tunnel` (receive loop), so a proxy
-serving N tunnels burned O(N) threads and its time context-switching.
-This module replaces that with the classic serving-stack migration: one
-(or a few, for multi-core) event-loop thread(s) own every socket, and
-all higher layers register *callbacks* instead of spawning threads.
+This is the stack's one I/O engine: one (or a few, for multi-core)
+event-loop thread(s) own every socket, and all higher layers register
+*callbacks* instead of spawning threads, so a proxy serving N tunnels
+costs O(loops) threads, not O(N).
 
 Three pieces live here:
 
@@ -14,21 +12,19 @@ Three pieces live here:
   timer heap (one-shot :meth:`call_later` and jittered periodic
   :meth:`call_every` — heartbeats and deadline expiry ride these).
   Channels of *any* transport join via :meth:`add_channel`, which drives
-  the uniform ``poll_recv``/``set_ready_callback`` protocol declared on
-  :class:`~repro.transport.channel.Channel`; in-process and
-  fault-injected channels therefore run on the loop unchanged.
-* :class:`ReactorTcpChannel` — a non-blocking TCP channel owned by a
-  loop: the loop reads and feeds the frame decoder, and outbound frames
-  go through a **bounded per-channel write queue** flushed with the same
-  vectored ``sendmsg`` coalescing as the threaded fast path.  When a slow
-  peer fills the queue, ``send`` blocks up to ``send_timeout`` and then
-  raises :class:`~repro.transport.errors.ChannelBusy` — bounded memory,
-  deterministic backpressure.
-* mode selection — :func:`io_mode` reads ``REPRO_IO`` (``reactor`` is
-  the default; ``threaded`` is the one-release escape hatch that keeps
-  the old thread-per-connection transport alive for head-to-head
-  benchmarking), and :func:`get_global_reactor` hands out the shared
-  process-wide reactor.
+  the ``poll_recv``/``set_ready_callback`` protocol every
+  :class:`~repro.transport.channel.Channel` implements; in-process,
+  UDP and fault-injected channels therefore run on the loop unchanged.
+* :class:`ReactorTcpChannel` — the TCP channel, a non-blocking socket
+  owned by a loop: the loop reads and feeds the frame decoder, and
+  outbound frames go through a **bounded per-channel write queue**
+  flushed with vectored ``sendmsg`` writes
+  (:func:`~repro.transport.tcp.send_views`).  When a slow peer fills the
+  queue, ``send`` blocks up to ``send_timeout`` and then raises
+  :class:`~repro.transport.errors.ChannelBusy` — bounded memory,
+  deterministic backpressure.  :class:`ReactorTcpListener` and
+  :func:`connect_tcp_reactor` make them.
+* :func:`get_global_reactor` — the shared process-wide reactor.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.obs import racesan
 from repro.obs.metrics import get_global_registry
-from repro.transport.channel import Channel
+from repro.transport.channel import Channel, Listener
 from repro.transport.errors import (
     ChannelBusy,
     ChannelClosed,
@@ -54,7 +50,7 @@ from repro.transport.errors import (
     TransportTimeout,
 )
 from repro.transport.frames import Frame, FrameDecoder, encode_frame_views
-from repro.transport.tcp import TcpListener, _set_nodelay
+from repro.transport.tcp import _set_nodelay, advance_views, send_views
 
 __all__ = [
     "Reactor",
@@ -64,7 +60,6 @@ __all__ = [
     "connect_tcp_reactor",
     "current_owner",
     "get_global_reactor",
-    "io_mode",
     "on_reactor_thread",
     "reset_global_reactor",
 ]
@@ -106,14 +101,6 @@ def current_owner() -> Optional[str]:
 # racesan cannot import this module (obs must stay transport-free), so
 # the ownership hook is pushed to it from here at import time.
 racesan.set_owner_resolver(current_owner)
-
-
-def io_mode(override: Optional[str] = None) -> str:
-    """Resolve the I/O mode: explicit override, else ``$REPRO_IO``, else reactor."""
-    mode = override or os.environ.get("REPRO_IO", "reactor")
-    if mode not in ("reactor", "threaded"):
-        raise ValueError(f"unknown REPRO_IO mode: {mode!r}")
-    return mode
 
 
 class TimerHandle:
@@ -516,10 +503,10 @@ class Reactor:
     ) -> _Registration:
         """Drive ``channel`` from the loop: every frame → ``on_frame``.
 
-        Works for any channel implementing the reactor protocol
-        (``poll_recv``/``set_ready_callback``) — reactor TCP, in-process
-        pairs, fault-injected wrappers, and secure channels layered over
-        any of them.  ``on_close(channel, exc)`` fires once when the
+        Works for every channel — reactor TCP, UDP, in-process pairs,
+        fault-injected wrappers, and secure channels layered over any of
+        them — through the ``poll_recv``/``set_ready_callback``
+        protocol.  ``on_close(channel, exc)`` fires once when the
         channel dies (peer gone, framing error, record MAC failure).
 
         ``on_batch(frames)``, when given, replaces per-frame delivery:
@@ -529,10 +516,6 @@ class Reactor:
         """
         if on_frame is None and on_batch is None:
             raise ValueError("add_channel needs on_frame or on_batch")
-        if not channel.supports_reactor:
-            raise ValueError(
-                f"channel {channel.name!r} does not support reactor I/O"
-            )
         # Pin layered channels to the loop that owns their underlying fd
         # when there is one; queue-backed channels round-robin.
         loop = getattr(channel, "reactor_loop", None) or self.next_loop()
@@ -549,6 +532,16 @@ class Reactor:
 # ---------------------------------------------------------------------------
 
 
+def _queued_views(entries: Iterable) -> deque:
+    """The non-empty buffers of write-queue ``(views, size)`` entries."""
+    return deque(
+        memoryview(view)
+        for frame_views, _ in entries
+        for view in frame_views
+        if len(view)
+    )
+
+
 @racesan.shared_state
 class ReactorTcpChannel(Channel):
     """A frame channel over one non-blocking TCP socket owned by a loop.
@@ -562,16 +555,14 @@ class ReactorTcpChannel(Channel):
     because reads and loop-side consumption are the same thread and
     layered consumers (the record cipher) open each frame before the
     drain continues.  Cross-thread blocking ``recv`` always copies.
-    ``REPRO_ZEROCOPY=0`` forces the copying decode everywhere (the PR 3
-    behaviour, kept as a benchmark baseline and kill switch).
 
     Outbound: frames are encoded to iovec views and appended to a bounded
     write queue (``max_write_queue`` bytes).  The loop flushes the whole
-    backlog with one vectored ``sendmsg`` (group commit, same as the
-    threaded fast path); EAGAIN arms write interest.  An **adaptive
-    coalescing window** sized from the observed write-queue depth defers
-    a hot channel's flush by one loop pass so concurrent producers share
-    a syscall, and shrinks back to 1 when the queue runs shallow.  A full
+    backlog with vectored ``sendmsg`` writes (group commit); EAGAIN arms
+    write interest.  An **adaptive coalescing window** sized from the
+    observed write-queue depth defers a hot channel's flush by one loop
+    pass so concurrent producers share a syscall, and shrinks back to 1
+    when the queue runs shallow.  A full
     queue blocks ``send`` up to ``send_timeout`` seconds, then raises
     :class:`ChannelBusy`; on the loop thread itself ``send`` never blocks
     — it raises immediately so a handler can't deadlock its own loop.
@@ -604,10 +595,6 @@ class ReactorTcpChannel(Channel):
         self._rx_cond = threading.Condition()
         self._rx_eof = False
         self._rx_error: Optional[Exception] = None
-        self._zero_copy = (
-            os.environ.get("REPRO_ZEROCOPY", "1").lower()
-            not in ("0", "off", "false")
-        )
         self._ready_cb: Optional[Callable[[], None]] = None
         # outbound
         self._wq: deque = deque()  # (views, frame_size)
@@ -713,11 +700,10 @@ class ReactorTcpChannel(Channel):
         """
         if self._rx_error is not None:
             return None
-        zero = self._zero_copy and self.reactor_loop.on_loop_thread()
         try:
             frame = (
                 self._decoder.next_frame_view()
-                if zero
+                if self.reactor_loop.on_loop_thread()
                 else self._decoder.next_frame()
             )
         except FrameError as exc:
@@ -738,10 +724,6 @@ class ReactorTcpChannel(Channel):
 
     def _detach_read(self) -> None:
         self.reactor_loop.unregister_fd(self._sock)
-
-    @property
-    def supports_reactor(self) -> bool:
-        return True
 
     def set_ready_callback(self, callback) -> None:
         # Registration thread publishes; the loop thread reads in
@@ -849,30 +831,11 @@ class ReactorTcpChannel(Channel):
             self._coalesce_window //= 2  # gridlint: disable=GL106,GL107 -- loop-confined: adapted only by _flush_on_loop on the owning loop thread
         if not backlog or self._closed.is_set():
             return
-        views = deque()
-        for frame_views, _ in backlog:
-            for view in frame_views:
-                if len(view):
-                    views.append(memoryview(view))
-        sent_total = 0
-        error: Optional[OSError] = None
         try:
-            while views:
-                chunk = list(itertools.islice(views, 1024))
-                sent = self._sock.sendmsg(chunk)
-                sent_total += sent
-                while sent > 0:
-                    head = views[0]
-                    if sent >= len(head):
-                        sent -= len(head)
-                        views.popleft()
-                    else:
-                        views[0] = head[sent:]
-                        sent = 0
-        except (BlockingIOError, InterruptedError):
-            pass
-        except OSError as exc:
-            error = exc
+            sent_total = send_views(self._sock, _queued_views(backlog))
+        except OSError:
+            self.close()
+            return
         # Trim fully-written frames off the queue; re-arm for the rest.
         with self._wq_cond:
             before = self._wq_bytes
@@ -884,27 +847,13 @@ class ReactorTcpChannel(Channel):
             if remaining and self._wq:
                 # Partial frame: replace head views with the unsent tail.
                 views_left, size = self._wq[0]
-                flat = deque()
-                for view in views_left:
-                    if len(view):
-                        flat.append(memoryview(view))
-                skip = remaining
-                while skip > 0 and flat:
-                    head = flat[0]
-                    if skip >= len(head):
-                        skip -= len(head)
-                        flat.popleft()
-                    else:
-                        flat[0] = head[skip:]
-                        skip = 0
-                self._wq[0] = (list(flat), size - remaining)
+                head = _queued_views([(views_left, size)])
+                advance_views(head, remaining)
+                self._wq[0] = (list(head), size - remaining)
                 self._wq_bytes -= remaining
-            pending = bool(self._wq) and error is None
+            pending = bool(self._wq)
             self._m_wq_gauge.add(self._wq_bytes - before)
             self._wq_cond.notify_all()
-        if error is not None:
-            self.close()
-            return
         self._set_write_interest(pending)
 
     def _set_write_interest(self, armed: bool) -> None:
@@ -935,14 +884,26 @@ class ReactorTcpChannel(Channel):
             return
         self._closed.set()
         with self._wq_cond:
-            self._wq.clear()
-            self._m_wq_gauge.add(-self._wq_bytes)
-            self._wq_bytes = 0
-            self._wq_cond.notify_all()
+            self._wq_cond.notify_all()  # blocked senders raise ChannelClosed
         self.reactor_loop.schedule(self._close_on_loop)
 
     def _close_on_loop(self) -> None:
+        """Hand queued frames to the kernel, then close the socket.
+
+        Frames sent before :meth:`close` still go out, as far as the
+        socket buffer takes them without blocking: a peer reading after
+        a send-then-close sees the data before the end of stream.
+        """
         self.reactor_loop.unregister_fd(self._sock)
+        with self._wq_cond:
+            backlog = list(self._wq)
+            self._wq.clear()
+            self._m_wq_gauge.add(-self._wq_bytes)
+            self._wq_bytes = 0
+        try:
+            send_views(self._sock, _queued_views(backlog))
+        except OSError:
+            pass
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -958,7 +919,7 @@ class ReactorTcpChannel(Channel):
         return self._closed.is_set()
 
 
-class ReactorTcpListener(TcpListener):
+class ReactorTcpListener(Listener):
     """Listening socket producing loop-owned :class:`ReactorTcpChannel`.
 
     Accept itself stays a blocking call (the proxy keeps one accept
@@ -974,11 +935,41 @@ class ReactorTcpListener(TcpListener):
         reactor: Optional[Reactor] = None,
         reuseport: bool = False,
     ):
-        super().__init__(host=host, port=port, backlog=backlog, reuseport=reuseport)
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        if reuseport:
+            # Kernel-side accept sharding: several workers bind the same
+            # port and the kernel spreads connections across them.
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        self._sock.bind((host, port))
+        self._sock.listen(backlog)
         self._reactor = reactor
+        self._closed = threading.Event()
+        self.host, self.port = self._sock.getsockname()
 
-    def _make_channel(self, conn: socket.socket, name: str) -> Channel:
-        return ReactorTcpChannel(conn, reactor=self._reactor, name=name)
+    @property
+    def address(self) -> tuple[str, int]:
+        return (self.host, self.port)
+
+    def accept(self, timeout: Optional[float] = None) -> ReactorTcpChannel:
+        if self._closed.is_set():
+            raise ChannelClosed("listener is closed")
+        self._sock.settimeout(timeout)
+        try:
+            conn, peer = self._sock.accept()
+        except socket.timeout:
+            raise TransportTimeout("accept timed out") from None
+        except OSError as exc:
+            raise ChannelClosed(f"listener closed ({exc})") from exc
+        return ReactorTcpChannel(
+            conn, reactor=self._reactor, name=f"tcp:{peer[0]}:{peer[1]}"
+        )
+
+    def close(self) -> None:
+        if self._closed.is_set():
+            return
+        self._closed.set()
+        self._sock.close()
 
 
 def connect_tcp_reactor(

@@ -20,8 +20,11 @@ Datagram layout::
     body  n bytes  encoded frame (DATA only)
 
 Frames must fit one datagram (~60 KiB); the middleware's data layer
-already chunks larger transfers.  A ``loss_injector`` hook drops chosen
-outgoing datagrams so tests can prove retransmission works.
+already chunks larger transfers.  The ARQ receiver thread queues
+in-order frames and fires the ready callback on every put, so the
+reactor drains a UDP channel through ``poll_recv`` like any other.  A
+``loss_injector`` hook drops chosen outgoing datagrams so tests can
+prove retransmission works.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ class UdpChannel(Channel):
         self.loss_injector = loss_injector
         self._closed = threading.Event()
         self._delivered: "queue.Queue" = queue.Queue()
+        self._ready_cb: Optional[Callable[[], None]] = None
         # sender state
         self._send_lock = threading.Lock()
         self._next_seq = 0
@@ -75,13 +79,13 @@ class UdpChannel(Channel):
         self._expected_seq = 0
         self._out_of_order: dict[int, bytes] = {}
         self._fin_sent = False
-        self._receiver = threading.Thread(
-            target=self._receive_loop, daemon=True, name=f"{name}-rx"
+        self._reader = threading.Thread(
+            target=self._read_datagrams, daemon=True, name=f"{name}-rx"
         )
         self._retransmitter = threading.Thread(
             target=self._retransmit_loop, daemon=True, name=f"{name}-arq"
         )
-        self._receiver.start()
+        self._reader.start()
         self._retransmitter.start()
 
     # -- datagram plumbing ---------------------------------------------------
@@ -94,7 +98,7 @@ class UdpChannel(Channel):
         except OSError:
             pass  # socket gone: the retransmitter/receiver will wind down
 
-    def _receive_loop(self) -> None:
+    def _read_datagrams(self) -> None:
         while not self._closed.is_set():
             try:
                 datagram, _addr = self._sock.recvfrom(MAX_UDP_FRAME + 64)
@@ -109,9 +113,14 @@ class UdpChannel(Channel):
             elif dtype == _TYPE_ACK:
                 self._on_ack(seq)
             elif dtype == _TYPE_FIN:
-                self._delivered.put(None)  # EOF sentinel
                 break
-        self._delivered.put(None)
+        self._deliver(None)  # EOF sentinel
+
+    def _deliver(self, body: Optional[bytes]) -> None:
+        self._delivered.put(body)
+        cb = self._ready_cb
+        if cb is not None:
+            cb()
 
     def _on_data(self, seq: int, body: bytes) -> None:
         # Always (re-)ACK cumulatively: the ACK for an earlier frame may
@@ -123,7 +132,7 @@ class UdpChannel(Channel):
         while self._expected_seq in self._out_of_order:
             in_order = self._out_of_order.pop(self._expected_seq)
             self._expected_seq += 1
-            self._delivered.put(in_order)
+            self._deliver(in_order)
         self._emit(_HEADER.pack(_TYPE_ACK, self._expected_seq))
 
     def _on_ack(self, cumulative: int) -> None:
@@ -176,12 +185,25 @@ class UdpChannel(Channel):
             body = self._delivered.get(timeout=timeout)
         except queue.Empty:
             raise TransportTimeout(f"{self.name}: recv timed out") from None
+        return self._open(body)
+
+    def poll_recv(self) -> Optional[Frame]:
+        try:
+            body = self._delivered.get_nowait()
+        except queue.Empty:
+            return None
+        return self._open(body)
+
+    def _open(self, body: Optional[bytes]) -> Frame:
         if body is None:
-            self._delivered.put(None)
+            self._delivered.put(None)  # closure stays visible to later reads
             raise ChannelClosed(f"{self.name}: peer closed")
         frame = decode_frame(body)
         self.stats.on_receive(len(body) + _HEADER.size)
         return frame
+
+    def set_ready_callback(self, callback: Optional[Callable[[], None]]) -> None:
+        self._ready_cb = callback
 
     def close(self) -> None:
         if self._closed.is_set():

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.control.failure import PeerState
 from repro.control.retry import RetryPolicy
 from repro.core.grid import Grid, GridError
 from repro.core.protocol import Op
@@ -114,10 +115,18 @@ def test_drop_outcomes_replay_exactly(chaos_seed):
         assert drop_scenario_outcomes(chaos_seed) == drop_scenario_outcomes(chaos_seed)
 
 
+#: Wall-clock bound on one corruption scenario.  A corrupted record
+#: closes the tunnel at both ends, so every request after it fails at
+#: once; sitting out request timeouts (5 × 1.2 s plus a 30 s status
+#: compile) would blow straight through this.
+FAST_DEGRADATION_S = 5.0
+
+
 def test_corruption_degrades_cleanly(chaos_seed):
     """A corrupted record kills the tunnel's MAC check — the peer must
-    degrade to unavailable, not wedge."""
+    degrade to unavailable quickly, not wedge."""
     plan = FaultPlan(corrupt=0.3, skip=RECORD_TRAFFIC, max_faults=3)
+    started = time.monotonic()
     with replaying(chaos_seed):
         grid = build_grid(chaos_seed, plan)
         origin = grid.proxy_of("A")
@@ -135,6 +144,61 @@ def test_corruption_degrades_cleanly(chaos_seed):
             assert status["B"] is None or isinstance(status["B"], list)
         finally:
             grid.shutdown()
+        elapsed = time.monotonic() - started
+        assert elapsed < FAST_DEGRADATION_S, (
+            f"seed {chaos_seed}: degraded in {elapsed:.1f}s, not fast"
+        )
+
+
+class CorruptOnDemand(FaultInjector):
+    """Injects nothing until armed, then corrupts exactly the next send."""
+
+    def __init__(self):
+        super().__init__(seed=0, plan=FaultPlan())
+        self.armed = threading.Event()
+
+    def decide(self, direction, index):
+        if direction == "send" and self.armed.is_set():
+            self.armed.clear()
+            return "corrupt", 0.5
+        return None, 0.0
+
+
+def test_corrupted_record_fails_the_peer_fast():
+    """Regression for the half-open tunnel: the receiver of a record that
+    fails its MAC closes its end, so the sender's in-flight request
+    raises PeerUnavailable within about a second — not after its own
+    timeout — and the sender's failure detector stops reporting ALIVE."""
+    injectors = []
+
+    def wrap(raw):
+        injectors.append(CorruptOnDemand())
+        return FaultyChannel(raw, injectors[-1])
+
+    grid = Grid(transport="tcp", channel_wrapper=wrap, handshake_retry=FAST_REDIAL)
+    try:
+        grid.add_site("A", nodes=1)
+        grid.add_site("B", nodes=1)
+        grid.connect_all()
+        origin = grid.proxy_of("A")
+        assert origin.request("proxy.B", Op.STATUS_QUERY, timeout=10.0).op == (
+            Op.STATUS_REPORT
+        )
+        assert origin.health.state_of("proxy.B") is PeerState.ALIVE
+        (injector,) = injectors  # A dialed B: the one wrapped channel
+        injector.armed.set()
+        started = time.monotonic()
+        with pytest.raises(PeerUnavailable):
+            origin.request("proxy.B", Op.STATUS_QUERY, timeout=10.0)
+        assert time.monotonic() - started < 1.0
+        assert origin.health.state_of("proxy.B") is not PeerState.ALIVE
+        # The degraded view compiles at once instead of waiting on B.
+        started = time.monotonic()
+        status = grid.global_status(via_site="A", allow_partial=True)
+        assert status["B"] is None
+        assert time.monotonic() - started < 1.0
+    finally:
+        grid.shutdown()
 
 
 def test_midstream_proxy_kill_degrades_one_site_only():

@@ -2,9 +2,9 @@
 
 The reactor migration's claims, checked end-to-end: O(loops + pool)
 threads regardless of tunnel count, clean repeated start/shutdown with
-no thread leaks, timer-driven heartbeats feeding the failure detector,
-tunnel-level backpressure that congests without killing the link, and
-the ``REPRO_IO=threaded`` escape hatch.
+no thread leaks, tunnels over any transport delivered without a thread
+of their own, timer-driven heartbeats feeding the failure detector, and
+tunnel-level backpressure that congests without killing the link.
 """
 
 import threading
@@ -17,8 +17,15 @@ from repro.core.grid import Grid
 from repro.core.tunnel import Tunnel, TunnelBusy
 from repro.security.cipher import RecordCipher, derive_session_keys, random_master_secret
 from repro.security.handshake import PeerIdentity, SecureChannel
+from repro.transport.faulty import FaultPlan, faulty_pair
 from repro.transport.frames import Frame, FrameKind
 from repro.transport.inproc import channel_pair
+from repro.transport.reactor import (
+    ReactorTcpListener,
+    connect_tcp_reactor,
+    get_global_reactor,
+)
+from repro.transport.udp import udp_pair
 
 
 def _settled_thread_count(baseline: int, slack: int = 1, timeout: float = 5.0) -> int:
@@ -36,25 +43,61 @@ class TestThreadBudget:
     def test_connected_grid_uses_loop_not_thread_per_tunnel(self):
         """4 sites fully meshed = 12 tunnels plus node-local secure
         channels; the I/O cost must stay one shared loop thread.  The
-        remaining threads are per-node workers and per-proxy acceptors,
-        which exist in both modes."""
+        remaining threads are per-node workers and per-proxy acceptors."""
         sites = ["A", "B", "C", "D"]
         nodes_per_site = 2
         before = threading.active_count()
-        grid = Grid(io="reactor")  # the claim under test is reactor-specific
+        grid = Grid()
         try:
             for name in sites:
                 grid.add_site(name, nodes=nodes_per_site)
             grid.connect_all()
             budget = len(sites) * nodes_per_site + len(sites) + 2
             assert threading.active_count() - before <= budget
-            for name in sites:
-                for peer in sites:
-                    if peer != name:
-                        tunnel = grid.proxy_of(name)._tunnels[f"proxy.{peer}"]
-                        assert tunnel.mode == "reactor"
         finally:
             grid.shutdown()
+
+
+def _tcp_pair():
+    listener = ReactorTcpListener()
+    client = connect_tcp_reactor(*listener.address)
+    server = listener.accept(timeout=5.0)
+    listener.close()
+    return client, server
+
+
+RAW_PAIRS = {
+    "inproc": lambda: channel_pair("raw"),
+    "faulty": lambda: faulty_pair(seed=1, plan=FaultPlan()),
+    "tcp": _tcp_pair,
+    "udp": udp_pair,
+}
+
+
+class TestEveryTunnelRidesTheReactor:
+    @pytest.mark.parametrize("transport", sorted(RAW_PAIRS))
+    def test_started_tunnels_spawn_no_thread(self, transport):
+        """Whatever the raw channel, starting a tunnel adds no thread:
+        both directions are delivered by the shared loop."""
+        secure_a, secure_b = _secure_over(*RAW_PAIRS[transport]())
+        a, b = Tunnel(secure_a, "a"), Tunnel(secure_b, "b")
+        got = {"a": threading.Event(), "b": threading.Event()}
+        a.on_frame(FrameKind.DATA, lambda frame: got["a"].set())
+        b.on_frame(FrameKind.DATA, lambda frame: got["b"].set())
+        get_global_reactor()  # the shared loop may not be running yet
+        before = threading.active_count()
+        try:
+            a.start()
+            b.start()
+            a.send(Frame(kind=FrameKind.DATA, payload=b"to b"))
+            b.send(Frame(kind=FrameKind.DATA, payload=b"to a"))
+            assert got["a"].wait(timeout=10.0) and got["b"].wait(timeout=10.0)
+            # <=: threads of earlier tests may still be exiting.
+            assert threading.active_count() <= before
+        finally:
+            a.close()
+            b.close()
+        assert a.join(timeout=5.0) and b.join(timeout=5.0)
 
 
 class TestShutdownOrdering:
@@ -148,9 +191,15 @@ class _FakePeer:
 
 
 def _secure_pair(maxsize: int, send_timeout: float):
-    """Secure channel pair over a bounded in-process buffer, skipping the
+    """Secure channel pair over a bounded in-process buffer."""
+    return _secure_over(
+        *channel_pair("busy", maxsize=maxsize, send_timeout=send_timeout)
+    )
+
+
+def _secure_over(raw_a, raw_b):
+    """Secure channel pair over two connected raw channels, skipping the
     RSA handshake (both ends derive from one master secret)."""
-    raw_a, raw_b = channel_pair("busy", maxsize=maxsize, send_timeout=send_timeout)
     master = random_master_secret()
     ck = derive_session_keys(master, "client")
     sk = derive_session_keys(master, "server")
@@ -184,23 +233,3 @@ class TestTunnelBackpressure:
         from repro.core.tunnel import TunnelError
 
         assert issubclass(TunnelBusy, TunnelError)
-
-
-class TestThreadedEscapeHatch:
-    def test_repro_io_threaded_restores_old_transport(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IO", "threaded")
-        grid = Grid()
-        try:
-            grid.add_site("A", nodes=1)
-            grid.add_site("B", nodes=1)
-            grid.connect_all()
-            grid.add_user("alice", "pw")
-            grid.grant("user:alice", "site:*", "submit")
-            tunnel = grid.proxy_of("A")._tunnels["proxy.B"]
-            assert tunnel.mode == "threaded"
-            result = grid.submit_job(
-                "alice", "pw", "echo", {"value": 7}, origin_site="A", target_site="B"
-            )
-            assert result == 7
-        finally:
-            grid.shutdown()

@@ -15,7 +15,6 @@ from repro.transport.reactor import (
     ReactorTcpChannel,
     ReactorTcpListener,
     connect_tcp_reactor,
-    io_mode,
     on_reactor_thread,
 )
 
@@ -29,30 +28,6 @@ def reactor():
 
 def _frame(payload: bytes = b"x", kind=FrameKind.CONTROL) -> Frame:
     return Frame(kind=kind, payload=payload)
-
-
-# ---------------------------------------------------------------------------
-# Mode selection
-# ---------------------------------------------------------------------------
-
-
-class TestIoMode:
-    def test_default_is_reactor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_IO", raising=False)
-        assert io_mode() == "reactor"
-
-    def test_env_selects_threaded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IO", "threaded")
-        assert io_mode() == "threaded"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IO", "threaded")
-        assert io_mode("reactor") == "reactor"
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IO", "fibers")
-        with pytest.raises(ValueError, match="fibers"):
-            io_mode()
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +137,9 @@ class TestAddChannel:
         assert len(closes) == 1
         assert isinstance(closes[0], ChannelClosed)
 
-    def test_non_reactor_channel_rejected(self, reactor):
+    def test_non_reactor_channel_rejected(self):
+        """The reactor protocol is part of the Channel contract: a
+        subclass that only blocks in ``recv`` cannot be instantiated."""
         from repro.transport.channel import Channel
 
         class Legacy(Channel):
@@ -179,8 +156,8 @@ class TestAddChannel:
             def closed(self):
                 return False
 
-        with pytest.raises(ValueError, match="does not support reactor"):
-            reactor.add_channel(Legacy(name="legacy"), lambda f: None)
+        with pytest.raises(TypeError, match="poll_recv"):
+            Legacy(name="legacy")
 
     def test_faulty_channel_drops_on_the_loop(self, reactor):
         """A fault-injected wrapper runs on the loop; dropped frames never

@@ -1,15 +1,16 @@
 """Hardening tests for the data-plane fast path under hostile sockets.
 
-The vectored-send loop, the group-commit queue and the cipher-suite
-negotiation all have to survive what real kernels do on a bad day:
-``sendmsg`` returning partway through a buffer, writes trickling out a
-few bytes at a time, and message boundaries landing anywhere in the TCP
-stream.
+The vectored-send helper, the reactor channel's group-commit write
+queue and the cipher-suite negotiation all have to survive what real
+kernels do on a bad day: ``sendmsg`` returning partway through a buffer,
+writes trickling out a few bytes at a time, and message boundaries
+landing anywhere in the TCP stream.
 """
 
 import socket
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -29,11 +30,12 @@ from repro.transport.frames import (
     FrameKind,
     encode_frame,
 )
-from repro.transport.tcp import TcpChannel, TcpListener, _IOV_MAX, _sendall_views
+from repro.transport.reactor import ReactorTcpChannel
+from repro.transport.tcp import _IOV_MAX, send_views
 
 
 # ---------------------------------------------------------------------------
-# _sendall_views: partial sendmsg returns
+# send_views: partial sendmsg returns
 # ---------------------------------------------------------------------------
 
 
@@ -73,44 +75,63 @@ VIEWS = [b"hello ", b"", b"wor", b"ld", b"!" * 40, b"tail"]
 JOINED = b"".join(VIEWS)
 
 
+def queued(views=VIEWS):
+    """The helper's input: the non-empty buffers as memoryviews."""
+    return deque(memoryview(v) for v in views if v)
+
+
 def test_sendall_views_complete_writes():
-    sock = FakeSock()
-    _sendall_views(sock, VIEWS)
+    sock, views = FakeSock(), queued()
+    assert send_views(sock, views) == len(JOINED)
     assert bytes(sock.written) == JOINED
     assert sock.call_sizes == [len([v for v in VIEWS if v])]
+    assert not views
 
 
 def test_sendall_views_survives_one_byte_returns():
-    sock = FakeSock(plan=[1] * (len(JOINED) - 1))
-    _sendall_views(sock, VIEWS)
+    sock, views = FakeSock(plan=[1] * (len(JOINED) - 1)), queued()
+    assert send_views(sock, views) == len(JOINED)
     assert bytes(sock.written) == JOINED
 
 
 def test_sendall_views_survives_midbuffer_partials():
     # 7 lands mid-"hello ", then mid-"!"-run, etc.
-    sock = FakeSock(plan=[7, 2, 11, 3])
-    _sendall_views(sock, VIEWS)
+    sock, views = FakeSock(plan=[7, 2, 11, 3]), queued()
+    assert send_views(sock, views) == len(JOINED)
     assert bytes(sock.written) == JOINED
 
 
 def test_sendall_views_respects_iov_max():
-    views = [b"x"] * (_IOV_MAX * 2 + 100)
+    many = [b"x"] * (_IOV_MAX * 2 + 100)
     sock = FakeSock(plan=[50])  # and a partial for good measure
-    _sendall_views(sock, views)
-    assert bytes(sock.written) == b"x" * len(views)
+    assert send_views(sock, queued(many)) == len(many)
+    assert bytes(sock.written) == b"x" * len(many)
     assert all(size <= _IOV_MAX for size in sock.call_sizes)
     assert len(sock.call_sizes) >= 3
 
 
 def test_sendall_views_propagates_error_after_partial():
-    sock = FakeSock(plan=[5, OSError("EPIPE")])
+    sock, views = FakeSock(plan=[5, OSError("EPIPE")]), queued()
     with pytest.raises(OSError):
-        _sendall_views(sock, VIEWS)
+        send_views(sock, views)
     assert bytes(sock.written) == JOINED[:5]
+    # The deque was advanced past what the socket took before failing.
+    assert b"".join(bytes(v) for v in views) == JOINED[5:]
+
+
+def test_send_views_stops_at_eagain_and_keeps_the_tail():
+    sock = FakeSock(plan=[7, BlockingIOError()])
+    views = queued()
+    assert send_views(sock, views) == 7
+    assert b"".join(bytes(v) for v in views) == JOINED[7:]
+    # The next write-ready event resumes exactly where the last stopped.
+    assert send_views(sock, views) == len(JOINED) - 7
+    assert bytes(sock.written) == JOINED
+    assert not views
 
 
 # ---------------------------------------------------------------------------
-# TcpChannel group commit over a trickling socket
+# ReactorTcpChannel group commit over a trickling socket
 # ---------------------------------------------------------------------------
 
 
@@ -132,14 +153,16 @@ class TrickleSock:
         return getattr(self._sock, name)
 
 
-def tcp_pair():
-    listener = TcpListener()
-    client = socket.create_connection((listener.host, listener.port))
-    client.settimeout(None)
-    sender = TcpChannel(client, name="trickle-sender")
-    receiver = listener.accept(timeout=5.0)
-    listener.close()
-    return sender, receiver
+def tcp_pair(limit=3):
+    """Two connected channels whose sockets both trickle ``limit`` bytes
+    per sendmsg."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        client = socket.create_connection(server.getsockname())
+        conn, _ = server.accept()
+    return (
+        ReactorTcpChannel(TrickleSock(client, limit), name="trickle-a"),
+        ReactorTcpChannel(TrickleSock(conn, limit), name="trickle-b"),
+    )
 
 
 def make_frames(start, count):
@@ -154,8 +177,7 @@ def make_frames(start, count):
 
 
 def test_send_many_group_commit_over_trickling_socket():
-    sender, receiver = tcp_pair()
-    sender._sock = TrickleSock(sender._sock, limit=3)
+    sender, receiver = tcp_pair(limit=3)
     try:
         workers = [
             threading.Thread(
@@ -181,8 +203,7 @@ def test_send_many_group_commit_over_trickling_socket():
 
 
 def test_send_on_dead_peer_raises_channel_closed():
-    sender, receiver = tcp_pair()
-    sender._sock = TrickleSock(sender._sock, limit=3)
+    sender, receiver = tcp_pair(limit=3)
     receiver.close()
     try:
         with pytest.raises(ChannelClosed):
@@ -240,9 +261,7 @@ def test_negotiation_over_trickling_sockets_picks_best_suite():
     client_cert = ca.issue("client", "proxy", client_keys.public)
     server_cert = ca.issue("server", "proxy", server_keys.public)
 
-    client_channel, server_channel = tcp_pair()
-    client_channel._sock = TrickleSock(client_channel._sock, limit=16)
-    server_channel._sock = TrickleSock(server_channel._sock, limit=16)
+    client_channel, server_channel = tcp_pair(limit=16)
 
     result = {}
 

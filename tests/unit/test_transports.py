@@ -7,7 +7,7 @@ import pytest
 from repro.transport.errors import ChannelClosed, TransportTimeout
 from repro.transport.frames import Frame, FrameKind
 from repro.transport.inproc import InprocFabric, channel_pair
-from repro.transport.tcp import TcpListener, connect_tcp
+from repro.transport.reactor import ReactorTcpListener, connect_tcp_reactor
 
 
 def data_frame(payload: bytes = b"x", **headers) -> Frame:
@@ -170,7 +170,7 @@ class TestInprocFabric:
 
 class TestTcpTransport:
     def test_round_trip_over_real_sockets(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         accepted = []
         done = threading.Event()
 
@@ -183,7 +183,7 @@ class TestTcpTransport:
 
         thread = threading.Thread(target=server)
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         client.send(data_frame(b"hello tcp"))
         reply = client.recv(timeout=5.0)
         assert reply.payload == b"HELLO TCP"
@@ -195,7 +195,7 @@ class TestTcpTransport:
         thread.join(timeout=5.0)
 
     def test_many_frames_order_preserved(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         server_channels = []
 
         def server():
@@ -207,7 +207,7 @@ class TestTcpTransport:
 
         thread = threading.Thread(target=server)
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         for i in range(200):
             client.send(data_frame(seq=i))
         seqs = [client.recv(timeout=5.0).headers["seq"] for _ in range(200)]
@@ -219,7 +219,7 @@ class TestTcpTransport:
         listener.close()
 
     def test_recv_after_peer_close(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         holder = []
 
         def server():
@@ -230,7 +230,7 @@ class TestTcpTransport:
 
         thread = threading.Thread(target=server)
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         assert client.recv(timeout=5.0).payload == b"bye"
         with pytest.raises(ChannelClosed):
             client.recv(timeout=5.0)
@@ -239,19 +239,19 @@ class TestTcpTransport:
         listener.close()
 
     def test_listener_accept_timeout(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         with pytest.raises(TransportTimeoutOrClosed):
             listener.accept(timeout=0.05)
         listener.close()
 
     def test_send_after_close_raises(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         holder = []
         thread = threading.Thread(
             target=lambda: holder.append(listener.accept(timeout=5.0))
         )
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         client.close()
         with pytest.raises(ChannelClosed):
             client.send(data_frame())
@@ -261,7 +261,7 @@ class TestTcpTransport:
         listener.close()
 
     def test_large_payload(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         payload = bytes(range(256)) * 4096  # 1 MiB
         holder = []
 
@@ -272,7 +272,7 @@ class TestTcpTransport:
 
         thread = threading.Thread(target=server)
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         assert client.recv(timeout=10.0).payload == payload
         thread.join(timeout=5.0)
         client.close()
@@ -283,13 +283,13 @@ class TestTcpTransport:
 
     def _echo_pair(self):
         """Connected (client, server_channel, listener) over loopback."""
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         holder = []
         thread = threading.Thread(
             target=lambda: holder.append(listener.accept(timeout=5.0))
         )
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         thread.join(timeout=5.0)
         return client, holder[0], listener
 
@@ -324,9 +324,9 @@ class TestTcpTransport:
 
     def test_concurrent_senders_never_interleave_frames(self):
         # Multiple threads hammering send()/send_many() exercise the
-        # group-commit coalescing path: whoever holds the socket lock
-        # drains everyone's queued frames in one write.  Frames must
-        # arrive intact and in per-sender order.
+        # group-commit coalescing path: the loop drains everyone's queued
+        # frames in one vectored write.  Frames must arrive intact and in
+        # per-sender order.
         client, server, listener = self._echo_pair()
         n_threads, per_thread = 8, 80
         try:

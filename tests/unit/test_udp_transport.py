@@ -81,6 +81,32 @@ class TestLossFree:
         with pytest.raises(ChannelClosed):
             a.send(data_frame())
 
+    def test_poll_recv_drains_under_the_ready_callback(self):
+        """The reactor protocol: poll_recv never blocks, the callback
+        fires per delivered frame and once more at closure."""
+        a, b = udp_pair()
+        try:
+            assert b.poll_recv() is None
+            ready = threading.Semaphore(0)
+            b.set_ready_callback(ready.release)
+            for i in range(3):
+                a.send(data_frame(seq=i))
+            got = []
+            while len(got) < 3:
+                assert ready.acquire(timeout=5.0)
+                frame = b.poll_recv()
+                if frame is not None:
+                    got.append(frame.headers["seq"])
+            assert got == [0, 1, 2]
+            a.close()
+            assert ready.acquire(timeout=5.0)
+            with pytest.raises(ChannelClosed):
+                b.poll_recv()
+            with pytest.raises(ChannelClosed):
+                b.poll_recv()  # closure stays visible
+        finally:
+            close_pair(a, b)
+
     def test_threaded_echo(self):
         a, b = udp_pair()
 
