@@ -184,7 +184,7 @@ def _echo_server(copying: bool, ready) -> None:
     every PING with a PONG, decoding zero-copy or, with ``copying``,
     with the seed's copying decode."""
     channel_cls = CopyingTcpChannel if copying else ReactorTcpChannel
-    reactor = Reactor(loops=1, name="zero-copy-ablation").start()
+    reactor = Reactor(name="zero-copy-ablation").start()
     listener = socket.create_server(("127.0.0.1", 0), backlog=1024)
     ready.send(listener.getsockname())
 

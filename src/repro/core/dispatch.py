@@ -25,7 +25,7 @@ safe to run:
    paper checks them at the destination proxy per-operation, and the
    denial op differs per operation (AUTH_DENIED vs JOB_REJECTED).
 3. **lookup** — the handler registry maps op → handler; ops registered
-   ``blocking=True`` (job execution, DFS ops, any extension handler) are
+   ``blocking=True`` (job execution, DFS ops, extension handlers) are
    bounced to a **sized worker pool** so the event loop never stalls.
 4. **respond** — the handler's reply (or the ERROR built from its
    exception) goes back through the caller-supplied ``respond`` sink;
@@ -114,13 +114,6 @@ class DispatchPipeline:
         # Benignly racy: losers re-derive the same pair.
         self._op_instruments: dict[int, tuple[str, Any]] = {}
         self._handlers: dict[int, Handler] = {}
-        #: live extension registry, consulted *before* the built-in
-        #: handlers so deployments can override any op ("the codes used
-        #: in this protocol can be expanded").  Extension code is
-        #: unknown code: it always runs on the worker pool.
-        self.overrides: dict[
-            int, Callable[[ControlMessage, str], Optional[ControlMessage]]
-        ] = {}
         self._guards: list[Guard] = []
         self._default: Optional[Handler] = None
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -137,9 +130,13 @@ class DispatchPipeline:
     ) -> None:
         """Map ``op`` to ``fn`` (replacing any previous handler).
 
-        ``blocking=True`` routes execution to the worker pool — required
-        for anything that runs user code, does I/O, or waits on replies
-        that arrive over the same event loop.
+        This one registry serves built-in and extension ops alike ("the
+        codes used in this protocol can be expanded"): a deployment adds
+        a code with :func:`~repro.core.protocol.register_op` and serves
+        it, or replaces a built-in, here.  ``blocking=True`` routes
+        execution to the worker pool — required for anything that runs
+        user code, does I/O, or waits on replies that arrive over the
+        same event loop; extension code is unknown code, so pass it.
         """
         self._handlers[op] = Handler(fn, blocking=blocking)
 
@@ -197,11 +194,7 @@ class DispatchPipeline:
                     self._m_vetoed.inc()
                 self._respond(veto, respond)
                 return
-        override = self.overrides.get(message.op)
-        if override is not None:
-            handler = Handler(override, blocking=True)
-        else:
-            handler = self._handlers.get(message.op, self._default)
+        handler = self._handlers.get(message.op, self._default)
         if handler is None:
             return
         if handler.blocking:

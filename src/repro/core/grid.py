@@ -33,7 +33,7 @@ from repro.security.auth import AccessControlList, UserDirectory
 from repro.security.ca import CertificationAuthority
 from repro.security.rsa import RsaKeyPair
 from repro.security.tickets import TicketService
-from repro.security.tokens import TokenService, auth_mode
+from repro.security.tokens import TokenService
 from repro.transport.inproc import InprocFabric
 from repro.transport.reactor import ReactorTcpListener, connect_tcp_reactor
 
@@ -313,9 +313,7 @@ class Grid:
     # Token control plane
     # ------------------------------------------------------------------
 
-    def enable_token_auth(
-        self, lifetime: float = 900.0, **kwargs: Any
-    ) -> Optional[bytes]:
+    def enable_token_auth(self, lifetime: float = 900.0, **kwargs: Any) -> bytes:
         """Switch the grid to the token auth plane (login once → tokens).
 
         Mints one grid-wide HMAC key and attaches a
@@ -325,14 +323,11 @@ class Grid:
         everywhere; their revocation lists start independent and
         converge by heartbeat gossip.
 
-        Under ``REPRO_AUTH=legacy`` this is a no-op returning ``None``:
-        the grid keeps the seed's per-request RSA credential path,
-        byte-for-byte.  Otherwise returns the shared key (tests that
-        build a second grid against the same token universe need it;
-        pass ``key=...`` via ``kwargs`` to supply your own).
+        A grid that never calls this keeps the seed's per-request RSA
+        credential path, byte-for-byte.  Returns the shared key (tests
+        that build a second grid against the same token universe need
+        it; pass ``key=...`` via ``kwargs`` to supply your own).
         """
-        if auth_mode() == "legacy":
-            return None
         if self._token_key is not None:
             raise GridError("token auth is already enabled")
         self._token_kwargs = dict(kwargs, lifetime=lifetime)

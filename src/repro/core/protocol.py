@@ -6,7 +6,8 @@ expanded to deal with a new situation."  This module implements that:
 
 * :class:`Op` — the operation-code registry.  Core codes are predefined;
   :func:`register_op` adds new ones at runtime without touching the
-  dispatcher, which is the expandability the paper calls for.
+  dispatcher, which is the expandability the paper calls for; a proxy
+  serves a new code through ``ProxyServer.pipeline.register``.
 * :class:`ControlMessage` — a request or reply with a correlation id,
   carried in a CONTROL frame.
 * :class:`RequestTracker` — matches replies to outstanding requests on a

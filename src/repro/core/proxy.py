@@ -62,7 +62,7 @@ from repro.security.auth import (
 from repro.security.certs import Certificate
 from repro.security.handshake import ResumptionTicket, SessionTicketKeeper
 from repro.security.rsa import RsaKeyPair
-from repro.security.tokens import Token, TokenError, TokenService, auth_mode
+from repro.security.tokens import Token, TokenError, TokenService
 from repro.transport.channel import Channel, Listener
 from repro.transport.errors import TransportError
 from repro.transport.frames import Frame, FrameKind
@@ -188,9 +188,6 @@ class ProxyServer:
             name=f"{name}-dispatch", workers=dispatch_workers, obs=self.obs
         )
         self._register_handlers()
-        #: extension op handlers: op code -> fn(message, peer) -> reply |
-        #: None.  Checked before the built-ins; always run on the pool.
-        self.extension_handlers = self.pipeline.overrides
         #: optional usage ledger (reward mechanisms); set by the Grid
         self.ledger = None
         #: optional shard fleet fronting this proxy (REPRO_SHARDS); its
@@ -335,7 +332,6 @@ class ProxyServer:
             # the proxy: refuse the tunnel instead of installing it.
             tunnel.close()
             return
-        tunnel.on_frame(FrameKind.CONTROL, lambda f: self._on_control(tunnel, f))
         tunnel.on_frame_batch(
             FrameKind.CONTROL, lambda fs: self._on_control_batch(tunnel, fs)
         )
@@ -570,21 +566,6 @@ class ProxyServer:
             )
         return reply
 
-    def _on_control(self, tunnel: Tunnel, frame: Frame) -> None:
-        message = self.pipeline.decode(frame)
-        if message is None:
-            return  # corrupt control traffic is discarded
-        self.last_heard[tunnel.peer_name] = self.clock()
-        self.health.heard_from(tunnel.peer_name)
-        if message.is_reply():
-            self._tracker.fulfil(message)
-            return
-        self.pipeline.dispatch(
-            message,
-            tunnel.peer_name,
-            respond=lambda reply: self._send_control(tunnel, reply),
-        )
-
     def _on_control_batch(self, tunnel: Tunnel, frames: list) -> None:
         """One drained backlog of control frames → one dispatch pass.
 
@@ -717,7 +698,6 @@ class ProxyServer:
             if self.health.is_watching(peer_name)
         }
         dump["auth"] = {
-            "mode": auth_mode(),
             "token_service": self.tokens is not None,
             "revocation_epoch": (
                 self.tokens.epoch if self.tokens is not None else 0
@@ -819,13 +799,12 @@ class ProxyServer:
     # Layer 2b: token control plane (login once → HMAC bearer tokens)
     # ------------------------------------------------------------------
 
-    def attach_token_service(self, service: TokenService, guard: bool = True) -> None:
+    def attach_token_service(self, service: TokenService) -> None:
         """Adopt a :class:`~repro.security.tokens.TokenService`.
 
         This proxy then serves the AUTH_LOGIN/AUTH_REFRESH/AUTH_REVOKE/
-        AUTH_RLIST ops and — unless ``guard`` is False or ``$REPRO_AUTH``
-        is ``legacy`` — installs a :class:`TokenAuthGuard` so guarded ops
-        (jobs, WMS, MPI) require a valid bearer token.  Login does PBKDF2
+        AUTH_RLIST ops and installs a :class:`TokenAuthGuard` so guarded
+        ops (jobs, WMS, MPI) require a valid bearer token.  Login does PBKDF2
         and token minting, and revoke fans heartbeats out to every
         tunnel, so both run ``blocking``; refresh and the revocation-list
         read are cheap HMAC/dict work and stay inline.
@@ -838,9 +817,8 @@ class ProxyServer:
         pipe.register(Op.AUTH_REFRESH, self._handle_auth_refresh)
         pipe.register(Op.AUTH_REVOKE, self._handle_auth_revoke, blocking=True)
         pipe.register(Op.AUTH_RLIST, self._handle_auth_rlist)
-        if guard and auth_mode() != "legacy":
-            self._token_guard = TokenAuthGuard(service, obs=self.obs)
-            pipe.add_guard(self._token_guard)
+        self._token_guard = TokenAuthGuard(service, obs=self.obs)
+        pipe.add_guard(self._token_guard)
 
     def _service_token_blob(self) -> Optional[bytes]:
         """This proxy's own bearer token, re-minted shortly before expiry.
@@ -1549,9 +1527,6 @@ class ProxyServer:
                 )
             except TunnelError:
                 return
-            tunnel.on_frame(
-                FrameKind.CONTROL, lambda f: self._on_control(tunnel, f)
-            )
             tunnel.on_frame_batch(
                 FrameKind.CONTROL, lambda fs: self._on_control_batch(tunnel, fs)
             )

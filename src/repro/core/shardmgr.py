@@ -51,8 +51,14 @@ from repro.obs import ObsHub
 from repro.obs.metrics import fold_snapshots
 from repro.transport.channel import Channel
 from repro.transport.errors import ChannelClosed, TransportError, TransportTimeout
-from repro.transport.reactor import Reactor, ReactorTcpChannel, connect_tcp_reactor
+from repro.transport.reactor import (
+    Reactor,
+    ReactorTcpChannel,
+    ReactorTcpListener,
+    connect_tcp_reactor,
+)
 from repro.transport.shard import ShardAcceptor, pick_mode, recv_socket
+from repro.transport.tcp import close_listener
 
 __all__ = ["ShardClient", "ShardManager", "worker_main"]
 
@@ -80,7 +86,7 @@ def worker_main(config: dict) -> None:
 
     shard_id = config["shard"]
     stop = threading.Event()
-    reactor = Reactor(loops=1, name=f"shard{shard_id}")
+    reactor = Reactor(name=f"shard{shard_id}")
     reactor.start()
     hub = ObsHub(f"shard-{shard_id}")
     # Instruments resolve once at worker startup and are captured by the
@@ -163,7 +169,7 @@ def worker_main(config: dict) -> None:
     ctrl = ReactorTcpChannel(ctrl_sock, reactor=reactor, name=f"shard{shard_id}-ctrl")
     reactor.add_channel(
         ctrl,
-        on_frame=lambda frame: _serve_ctrl(pipeline, ctrl, frame, shard_id),
+        lambda frames: _serve_ctrl(pipeline, ctrl, frames),
         on_close=lambda ch, exc: stop.set(),
     )
     ctrl.send(
@@ -176,22 +182,18 @@ def worker_main(config: dict) -> None:
 
     threads = []
     if config["mode"] == "reuseport":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        listener.bind((config["host"], config["port"]))
-        listener.listen(128)
+        listener = ReactorTcpListener(
+            config["host"], config["port"], backlog=128, reactor=reactor,
+            reuseport=True,
+        )
 
         def accept_loop() -> None:
             while not stop.is_set():
                 try:
-                    conn, peer = listener.accept()
-                except OSError:
+                    channel = listener.accept()
+                except TransportError:
                     return
-                attach(ReactorTcpChannel(
-                    conn, reactor=reactor,
-                    name=f"shard{shard_id}:{peer[0]}:{peer[1]}",
-                ))
+                attach(channel)
 
         threads.append(threading.Thread(  # gridlint: disable=GL102 -- blocking accept() cannot run on a reactor loop
             target=accept_loop, daemon=True, name=f"shard{shard_id}-accept"
@@ -229,13 +231,13 @@ def worker_main(config: dict) -> None:
         reactor.stop()
 
 
-def _serve_ctrl(pipeline, ctrl, frame, shard_id: int) -> None:
-    message = pipeline.decode(frame)
-    if message is None:
-        return
-    pipeline.dispatch(
-        message, "parent", lambda reply: ctrl.send(reply.to_frame())
-    )
+def _serve_ctrl(pipeline, ctrl, frames: list) -> None:
+    for frame in frames:
+        message = pipeline.decode(frame)
+        if message is not None:
+            pipeline.dispatch(
+                message, "parent", lambda reply: ctrl.send(reply.to_frame())
+            )
 
 
 def _connect_unix(path: str, deadline: float) -> socket.socket:
@@ -585,7 +587,7 @@ class ShardManager:
         for sock in (self._ctrl_listener, self._handoff_listener,
                      self._reserve_sock):
             if sock is not None:
-                sock.close()
+                close_listener(sock)
         for thread in self._threads:
             thread.join(timeout=5.0)
         if self._dir is not None:

@@ -12,8 +12,8 @@ frame kind, so one tunnel serves the control protocol and any number of
 multiplexed MPI applications concurrently.
 
 Delivery is event-driven: :meth:`Tunnel.start` registers the secure
-channel on the shared reactor, so N tunnels cost O(loops) threads and a
-tunnel starts none of its own, whatever channel it runs over.  A receive
+channel on the shared reactor, so N tunnels share its one loop thread and
+a tunnel starts none of its own, whatever channel it runs over.  A receive
 error (peer gone, framing error, record MAC failure) closes the secure
 channel, so the peer's end fails fast too.
 """
@@ -124,7 +124,6 @@ class Tunnel:
                 resumption=resumption,
             )
         except HandshakeError as exc:
-            raw.close()
             raise TunnelError(f"tunnel handshake failed: {exc}") from exc
         return cls(secure, local_name)
 
@@ -212,7 +211,6 @@ class Tunnel:
                 ticket_keeper=ticket_keeper,
             )
         except HandshakeError as exc:
-            raw.close()
             raise TunnelError(f"tunnel handshake failed: {exc}") from exc
         return cls(secure, local_name)
 
@@ -244,8 +242,7 @@ class Tunnel:
             return
         self._registration = get_global_reactor().add_channel(
             self._secure,
-            on_frame=self._deliver,
-            on_batch=self._deliver_batch,
+            self._deliver_batch,
             on_close=lambda channel, exc: self._finalize(),
         )
 

@@ -339,7 +339,7 @@ def _requantile(hist: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The process-wide registry (shared infrastructure: the reactor's loops and
+# The process-wide registry (shared infrastructure: the reactor's loop and
 # channels are not owned by any single proxy)
 # ---------------------------------------------------------------------------
 
@@ -348,7 +348,7 @@ _global_registry: Optional[MetricsRegistry] = None
 
 
 def get_global_registry() -> MetricsRegistry:
-    """Process-level instruments (reactor loops, shared transports)."""
+    """Process-level instruments (the reactor loop, shared transports)."""
     global _global_registry
     with _global_lock:
         if _global_registry is None:

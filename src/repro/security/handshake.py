@@ -194,7 +194,7 @@ class SecureChannel(Channel):
 
     @property
     def reactor_loop(self):
-        """Pin to the loop owning the wrapped transport, if any."""
+        """Pin to the reactor owning the wrapped transport, if any."""
         return getattr(self._inner, "reactor_loop", None)
 
     def close(self) -> None:
@@ -422,6 +422,8 @@ def connect_secure(
     back to the full handshake on the same connection.  Every failure —
     protocol violation, malformed field, peer disconnect — surfaces as
     :class:`HandshakeError`: handshake input is untrusted by definition.
+    A failed handshake closes ``channel``, so the peer's next read fails
+    at once instead of waiting out its handshake timeout.
     """
     try:
         return _connect_secure(
@@ -435,9 +437,10 @@ def connect_secure(
             timeout,
             resumption,
         )
-    except HandshakeError:
-        raise
     except Exception as exc:
+        channel.close()
+        if isinstance(exc, HandshakeError):
+            raise
         raise HandshakeError(f"handshake failed: {exc}") from exc
 
 
@@ -631,7 +634,7 @@ def accept_secure(
     revocation list for client certificates.  ``ticket_keeper`` enables
     session resumption: full handshakes issue tickets, and a HELLO
     presenting a redeemable ticket skips the asymmetric exchange.  All
-    failures surface as :class:`HandshakeError` (see
+    failures surface as :class:`HandshakeError` and close ``channel`` (see
     :func:`connect_secure`).
     """
     try:
@@ -646,9 +649,10 @@ def accept_secure(
             revocation_check,
             ticket_keeper,
         )
-    except HandshakeError:
-        raise
     except Exception as exc:
+        channel.close()
+        if isinstance(exc, HandshakeError):
+            raise
         raise HandshakeError(f"handshake failed: {exc}") from exc
 
 

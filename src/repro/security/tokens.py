@@ -30,15 +30,13 @@ grid-wide token key — distributed by :class:`~repro.core.grid.Grid`
 over the same channel as certificates — is sound; users never hold the
 key, only tokens.
 
-``REPRO_AUTH=legacy`` disables the token plane (see :func:`auth_mode`):
-enablement becomes a no-op and the per-request signature path keeps
-working byte-identically.
+A grid without :meth:`~repro.core.grid.Grid.enable_token_auth` keeps
+the seed's per-request signature path, byte-identically.
 """
 
 from __future__ import annotations
 
 import hmac
-import os
 import secrets
 import threading
 from hashlib import sha256
@@ -49,14 +47,12 @@ from repro.security.auth import UserDirectory
 from repro.transport.frames import decode_value, encode_value
 
 __all__ = [
-    "AUTH_MODES",
     "DEFAULT_TOKEN_LIFETIME",
     "MAX_DELEGATION_DEPTH",
     "RevocationList",
     "Token",
     "TokenError",
     "TokenService",
-    "auth_mode",
     "scope_grants",
 ]
 
@@ -70,15 +66,6 @@ DEFAULT_TOKEN_LIFETIME = 900.0
 #: Delegation chains are bounded: user → origin proxy → destination
 #: proxy is depth 2; one spare hop covers proxy-of-proxies federation.
 MAX_DELEGATION_DEPTH = 3
-
-AUTH_MODES = ("token", "legacy")
-
-
-def auth_mode() -> str:
-    """Resolve ``REPRO_AUTH`` (default ``token``; unknown values too)."""
-    mode = os.environ.get("REPRO_AUTH", "token").strip().lower()
-    return mode if mode in AUTH_MODES else "token"
-
 
 class TokenError(Exception):
     """A token failed verification, or a mint request was invalid."""

@@ -292,7 +292,7 @@ class FaultyChannel(Channel):
 
     @property
     def reactor_loop(self):
-        """Pin to the loop owning the wrapped transport, if any."""
+        """Pin to the reactor owning the wrapped transport, if any."""
         return getattr(self._inner, "reactor_loop", None)
 
     def recv(self, timeout: Optional[float] = None) -> Frame:

@@ -1,22 +1,24 @@
 """Shared reactor I/O: a selectors-based event loop for the whole stack.
 
-This is the stack's one I/O engine: one (or a few, for multi-core)
-event-loop thread(s) own every socket, and all higher layers register
-*callbacks* instead of spawning threads, so a proxy serving N tunnels
-costs O(loops) threads, not O(N).
+This is the stack's one I/O engine: one event-loop thread owns every
+socket, and all higher layers register *callbacks* instead of spawning
+threads, so a proxy serving N tunnels costs one loop thread, not O(N).
+Multi-core scale-out is the shard fleet's job: each worker process runs
+its own reactor.
 
 Three pieces live here:
 
-* :class:`Reactor` — ``loops`` event-loop threads, each with its own
-  ``selectors`` selector, a self-pipe for cross-thread wakeups, and a
-  timer heap (one-shot :meth:`call_later` and jittered periodic
-  :meth:`call_every` — heartbeats and deadline expiry ride these).
-  Channels of *any* transport join via :meth:`add_channel`, which drives
-  the ``poll_recv``/``set_ready_callback`` protocol every
+* :class:`Reactor` — one event-loop thread with a ``selectors``
+  selector, a self-pipe for cross-thread wakeups, and a timer heap
+  (one-shot :meth:`~Reactor.call_later` and jittered periodic
+  :meth:`~Reactor.call_every` — heartbeats and deadline expiry ride
+  these).  Channels of *any* transport join via
+  :meth:`~Reactor.add_channel`, which drives the
+  ``poll_recv``/``set_ready_callback`` protocol every
   :class:`~repro.transport.channel.Channel` implements; in-process,
   UDP and fault-injected channels therefore run on the loop unchanged.
 * :class:`ReactorTcpChannel` — the TCP channel, a non-blocking socket
-  owned by a loop: the loop reads and feeds the frame decoder, and
+  owned by a reactor: the loop reads and feeds the frame decoder, and
   outbound frames go through a **bounded per-channel write queue**
   flushed with vectored ``sendmsg`` writes
   (:func:`~repro.transport.tcp.send_views`).  When a slow peer fills the
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
 import selectors
 import socket
@@ -50,7 +51,12 @@ from repro.transport.errors import (
     TransportTimeout,
 )
 from repro.transport.frames import Frame, FrameDecoder, encode_frame_views
-from repro.transport.tcp import _set_nodelay, advance_views, send_views
+from repro.transport.tcp import (
+    _set_nodelay,
+    advance_views,
+    close_listener,
+    send_views,
+)
 
 __all__ = [
     "Reactor",
@@ -65,14 +71,12 @@ __all__ = [
 ]
 
 _RECV_CHUNK = 64 * 1024
-_EOF = object()
 #: frames delivered per drain pass before yielding to other channels
 _DRAIN_BATCH = 128
 _timer_seq = itertools.count()
-#: idents of every live event-loop thread, across all reactors
-_loop_thread_idents: set = set()
-#: ident -> loop name for those same threads (the racesan ownership token)
-_loop_owner_names: dict = {}
+#: ident -> reactor name for every live event-loop thread, across all
+#: reactors (the name is the racesan ownership token)
+_loop_owners: dict = {}
 
 
 def on_reactor_thread() -> bool:
@@ -82,7 +86,7 @@ def on_reactor_thread() -> bool:
     flush the very queue the sender is waiting on (nor any other channel
     it owns).  Backpressure paths use this to fail fast instead.
     """
-    return threading.get_ident() in _loop_thread_idents
+    return threading.get_ident() in _loop_owners
 
 
 def current_owner() -> Optional[str]:
@@ -94,7 +98,7 @@ def current_owner() -> Optional[str]:
     held for the entire life of the loop thread, so accesses serialized
     on one loop never look unlocked to the lockset refinement.
     """
-    name = _loop_owner_names.get(threading.get_ident())
+    name = _loop_owners.get(threading.get_ident())
     return None if name is None else f"loop:{name}"
 
 
@@ -106,14 +110,13 @@ racesan.set_owner_resolver(current_owner)
 class TimerHandle:
     """Cancellation handle for a scheduled (possibly periodic) callback."""
 
-    __slots__ = ("interval", "jitter", "callback", "_cancelled", "_loop")
+    __slots__ = ("interval", "jitter", "callback", "_cancelled")
 
-    def __init__(self, callback, interval: Optional[float], jitter: float, loop):
+    def __init__(self, callback, interval: Optional[float], jitter: float):
         self.callback = callback
         self.interval = interval
         self.jitter = jitter
         self._cancelled = False
-        self._loop = loop
 
     def cancel(self) -> None:
         self._cancelled = True
@@ -137,18 +140,16 @@ class TimerHandle:
 
 
 class _Registration:
-    """One channel's membership on a loop: ready-flag + drain bookkeeping."""
+    """One channel's membership on a reactor: ready-flag + drain bookkeeping."""
 
-    __slots__ = ("channel", "on_frame", "on_batch", "on_close", "_loop",
+    __slots__ = ("channel", "on_batch", "on_close", "_reactor",
                  "_lock", "_scheduled", "_closed")
 
-    def __init__(self, channel: Channel, on_frame, on_close, loop: "_Loop",
-                 on_batch=None):
+    def __init__(self, channel: Channel, on_batch, on_close, reactor: "Reactor"):
         self.channel = channel
-        self.on_frame = on_frame
         self.on_batch = on_batch
         self.on_close = on_close
-        self._loop = loop
+        self._reactor = reactor
         self._lock = threading.Lock()
         self._scheduled = False
         self._closed = False
@@ -160,35 +161,11 @@ class _Registration:
             if self._scheduled or self._closed:
                 return
             self._scheduled = True
-        self._loop.schedule(self._drain)
+        self._reactor.schedule(self._drain)
 
     # -- loop side -------------------------------------------------------
 
     def _drain(self) -> None:
-        with self._lock:
-            self._scheduled = False
-            if self._closed:
-                return
-        if self.on_batch is not None:
-            self._drain_batch()
-            return
-        for _ in range(_DRAIN_BATCH):
-            try:
-                frame = self.channel.poll_recv()
-            except Exception as exc:  # ChannelClosed, FrameError, record MAC…
-                self._finish(exc)
-                return
-            if frame is None:
-                return
-            try:
-                self.on_frame(frame)
-            except Exception:
-                pass  # a faulty handler must not kill the shared loop
-        # Batch exhausted with frames possibly still pending: yield the
-        # loop to other channels and reschedule ourselves.
-        self.ready()
-
-    def _drain_batch(self) -> None:
         """Collect the whole decoder backlog, deliver it as one batch.
 
         One loop wakeup → one ``on_batch(frames)`` call → one dispatch
@@ -197,12 +174,16 @@ class _Registration:
         Frames already drained are always delivered before a terminal
         condition is surfaced — a death notice must not eat data.
         """
+        with self._lock:
+            self._scheduled = False
+            if self._closed:
+                return
         batch: list = []
         error: Optional[Exception] = None
         for _ in range(_DRAIN_BATCH):
             try:
                 frame = self.channel.poll_recv()
-            except Exception as exc:
+            except Exception as exc:  # ChannelClosed, FrameError, record MAC…
                 error = exc
                 break
             if frame is None:
@@ -233,33 +214,36 @@ class _Registration:
             except Exception:
                 pass
 
-    def unregister(self) -> None:
-        """Detach without firing ``on_close`` (the owner is closing)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        try:
-            self.channel.set_ready_callback(None)
-        except Exception:
+
+def _drain_wake_pipe(wake_recv: socket.socket, mask: int) -> None:
+    try:
+        while wake_recv.recv(4096):  # gridlint: disable=GL101 -- wake pipe is non-blocking; drain exits on BlockingIOError
             pass
+    except (BlockingIOError, OSError):
+        pass
 
 
-class _Loop:
-    """One event-loop thread: selector + self-pipe + pending queue + timers."""
+class Reactor:
+    """One event-loop thread: selector + self-pipe + pending queue + timers.
 
-    def __init__(self, name: str):
+    One reactor serves any number of proxies/tunnels: the thread count
+    is one, not O(connections) — which is the whole point.  ``start`` is
+    idempotent, and a stopped reactor restarts on its next use with a
+    fresh selector and thread rather than dropping work on a dead one.
+    """
+
+    def __init__(self, name: str = "reactor"):
         self.name = name
-        self._selector = selectors.DefaultSelector()
-        self._wake_recv, self._wake_send = socket.socketpair()
-        self._wake_recv.setblocking(False)
-        self._wake_send.setblocking(False)
-        self._selector.register(self._wake_recv, selectors.EVENT_READ, self._on_wake)
+        self._lock = threading.Lock()  # serialises start/stop
         self._pending: deque = deque()
         self._pending_lock = threading.Lock()
         self._timers: list = []  # heap of (deadline, seq, handle)
         self._timer_lock = threading.Lock()
-        self._running = threading.Event()
+        # Per-run state, replaced on every (re)start: the exiting thread
+        # of a stopped run closes its own selector and wake pipe.
+        self._running: Optional[threading.Event] = None
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._wake_send: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
         self.thread_ident: Optional[int] = None
         # Shared-infrastructure instruments (the reactor belongs to the
@@ -271,37 +255,58 @@ class _Loop:
 
     # -- lifecycle -------------------------------------------------------
 
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._running.set()
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name=self.name
-        )
-        self._thread.start()
+    def start(self) -> "Reactor":
+        with self._lock:
+            if self._running is not None and self._running.is_set():
+                return self
+            previous = self._thread
+            if previous is not None and previous is not threading.current_thread():
+                previous.join(timeout=5.0)
+            # A restart begins empty, like a fresh reactor: work queued
+            # for the stopped run died with its selector.
+            with self._pending_lock:
+                self._pending.clear()
+            with self._timer_lock:
+                self._timers.clear()
+            selector = selectors.DefaultSelector()
+            wake_recv, wake_send = socket.socketpair()
+            wake_recv.setblocking(False)
+            wake_send.setblocking(False)
+            selector.register(
+                wake_recv, selectors.EVENT_READ,
+                lambda mask: _drain_wake_pipe(wake_recv, mask),
+            )
+            running = threading.Event()
+            running.set()
+            self._running, self._selector, self._wake_send = (
+                running, selector, wake_send
+            )
+            self._thread = threading.Thread(
+                target=self._run, args=(running, selector, wake_recv, wake_send),
+                daemon=True, name=self.name,
+            )
+            self._thread.start()
+        return self
 
     def stop(self) -> None:
-        self._running.clear()
-        self.wake()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
+        """Stop the loop thread and wait (up to 5 s) for it to exit."""
+        with self._lock:
+            running, thread = self._running, self._thread
+            if running is not None:
+                running.clear()
+            self.wake()
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout=5.0)
 
     def on_loop_thread(self) -> bool:
         return threading.get_ident() == self.thread_ident
-
-    @property
-    def defunct(self) -> bool:
-        """True once the loop has been told to stop: it drops new work."""
-        return self._thread is not None and not self._running.is_set()
 
     # -- cross-thread entry points --------------------------------------
 
     def wake(self) -> None:
         try:
             self._wake_send.send(b"\x00")
-        except (BlockingIOError, OSError):
+        except (AttributeError, BlockingIOError, OSError):
             pass  # pipe already full → the loop is waking anyway
 
     def schedule(self, fn: Callable[[], None]) -> None:
@@ -311,16 +316,20 @@ class _Loop:
         self.wake()
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
-        handle = TimerHandle(fn, interval=None, jitter=0.0, loop=self)
+        handle = TimerHandle(fn, interval=None, jitter=0.0)
+        self.start()  # a stopped reactor restarts on its next use
         self._push_timer(max(0.0, delay), handle)
         return handle
 
     def call_every(
         self, interval: float, fn: Callable[[], None], jitter: float = 0.0
     ) -> TimerHandle:
+        """Periodic callback every ``interval`` seconds, jittered
+        ±``jitter``·interval per firing."""
         if interval <= 0:
             raise ValueError(f"interval must be positive: {interval}")
-        handle = TimerHandle(fn, interval=interval, jitter=jitter, loop=self)
+        handle = TimerHandle(fn, interval=interval, jitter=jitter)
+        self.start()
         self._push_timer(handle._next_delay(), handle)
         return handle
 
@@ -344,14 +353,34 @@ class _Loop:
         except (KeyError, ValueError):
             pass
 
-    # -- the loop --------------------------------------------------------
+    # -- channels --------------------------------------------------------
 
-    def _on_wake(self, mask: int) -> None:
-        try:
-            while self._wake_recv.recv(4096):  # gridlint: disable=GL101 -- wake pipe is non-blocking; drain exits on BlockingIOError
-                pass
-        except (BlockingIOError, OSError):
-            pass
+    def add_channel(
+        self,
+        channel: Channel,
+        on_batch: Callable[[list], None],
+        on_close: Optional[Callable[[Channel, Exception], None]] = None,
+    ) -> _Registration:
+        """Drive ``channel`` from the loop, delivering frames in batches.
+
+        Works for every channel — reactor TCP, UDP, in-process pairs,
+        fault-injected wrappers, and secure channels layered over any of
+        them — through the ``poll_recv``/``set_ready_callback``
+        protocol.  Each loop wakeup drains the channel's decoded backlog
+        (up to an internal cap) and hands it to ``on_batch(frames)`` as
+        one list, letting the consumer dispatch and reply in bulk.
+        ``on_close(channel, exc)`` fires once when the channel dies
+        (peer gone, framing error, record MAC failure).
+        """
+        # Pin layered channels to the reactor that owns their underlying
+        # fd when there is one.
+        reactor = (getattr(channel, "reactor_loop", None) or self).start()
+        registration = _Registration(channel, on_batch, on_close, reactor)
+        channel.set_ready_callback(registration.ready)
+        registration.ready()  # drain anything buffered before we attached
+        return registration
+
+    # -- the loop --------------------------------------------------------
 
     def _next_timeout(self) -> Optional[float]:
         with self._pending_lock:
@@ -362,15 +391,14 @@ class _Loop:
                 return None
             return max(0.0, self._timers[0][0] - time.monotonic())
 
-    def _run(self) -> None:
-        self.thread_ident = threading.get_ident()
-        _loop_thread_idents.add(self.thread_ident)
-        _loop_owner_names[self.thread_ident] = self.name
+    def _run(self, running, selector, wake_recv, wake_send) -> None:
+        ident = self.thread_ident = threading.get_ident()
+        _loop_owners[ident] = self.name
         try:
-            while self._running.is_set():
+            while running.is_set():
                 timeout = self._next_timeout()
                 try:
-                    events = self._selector.select(timeout)
+                    events = selector.select(timeout)
                 except OSError:
                     events = []
                 if events:
@@ -385,11 +413,10 @@ class _Loop:
             # Drain once more so close/unregister tasks queued during stop run.
             self._run_pending()
         finally:
-            _loop_thread_idents.discard(self.thread_ident)
-            _loop_owner_names.pop(self.thread_ident, None)
-            self._selector.close()
-            self._wake_recv.close()
-            self._wake_send.close()
+            _loop_owners.pop(ident, None)
+            selector.close()
+            wake_recv.close()
+            wake_send.close()
 
     def _run_pending(self) -> None:
         while True:
@@ -421,110 +448,6 @@ class _Loop:
                 pass
             if handle.interval is not None and not handle.cancelled:
                 self._push_timer(handle._next_delay(), handle)
-
-
-class Reactor:
-    """A fixed pool of event loops; channels and timers spread across them.
-
-    One reactor serves any number of proxies/tunnels: thread count is
-    O(loops) — not O(connections) — which is the whole point.
-    """
-
-    def __init__(self, loops: int = 1, name: str = "reactor"):
-        if loops <= 0:
-            raise ValueError(f"need at least one loop: {loops}")
-        self.name = name
-        self._loops = [_Loop(f"{name}-loop-{i}") for i in range(loops)]
-        self._rr = itertools.count()
-        self._started = False
-        self._lock = threading.Lock()
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> "Reactor":
-        with self._lock:
-            if not self._started:
-                # A stopped loop's thread is gone and its selector closed;
-                # restarting the reactor must hand out live loops, not
-                # silently drop work on dead ones.
-                self._loops = [
-                    _Loop(loop.name) if loop.defunct else loop
-                    for loop in self._loops
-                ]
-                for loop in self._loops:
-                    loop.start()
-                self._started = True
-        return self
-
-    def stop(self, join: bool = True) -> None:
-        with self._lock:
-            self._started = False
-            loops = list(self._loops)
-        for loop in loops:
-            loop.stop()
-        if join:
-            for loop in loops:
-                loop.join(timeout=5.0)
-
-    @property
-    def loops(self) -> int:
-        return len(self._loops)
-
-    @staticmethod
-    def current_owner() -> Optional[str]:
-        """Hook form of :func:`current_owner` (racesan's resolver)."""
-        return current_owner()
-
-    def next_loop(self) -> _Loop:
-        """Round-robin loop assignment (channels pin to one loop)."""
-        self.start()
-        return self._loops[next(self._rr) % len(self._loops)]
-
-    # -- timers ----------------------------------------------------------
-
-    def call_later(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
-        return self.next_loop().call_later(delay, fn)
-
-    def call_every(
-        self, interval: float, fn: Callable[[], None], jitter: float = 0.0
-    ) -> TimerHandle:
-        """Periodic callback every ``interval`` seconds, jittered ±10% by
-        default conventions of the callers (pass ``jitter`` explicitly)."""
-        return self.next_loop().call_every(interval, fn, jitter=jitter)
-
-    # -- channels --------------------------------------------------------
-
-    def add_channel(
-        self,
-        channel: Channel,
-        on_frame: Optional[Callable[[Frame], None]] = None,
-        on_close: Optional[Callable[[Channel, Exception], None]] = None,
-        on_batch: Optional[Callable[[list], None]] = None,
-    ) -> _Registration:
-        """Drive ``channel`` from the loop: every frame → ``on_frame``.
-
-        Works for every channel — reactor TCP, UDP, in-process pairs,
-        fault-injected wrappers, and secure channels layered over any of
-        them — through the ``poll_recv``/``set_ready_callback``
-        protocol.  ``on_close(channel, exc)`` fires once when the
-        channel dies (peer gone, framing error, record MAC failure).
-
-        ``on_batch(frames)``, when given, replaces per-frame delivery:
-        each loop wakeup drains the channel's whole decoded backlog (up
-        to an internal cap) and hands it over as one list, letting the
-        consumer dispatch and reply in bulk.
-        """
-        if on_frame is None and on_batch is None:
-            raise ValueError("add_channel needs on_frame or on_batch")
-        # Pin layered channels to the loop that owns their underlying fd
-        # when there is one; queue-backed channels round-robin.
-        loop = getattr(channel, "reactor_loop", None) or self.next_loop()
-        registration = _Registration(
-            channel, on_frame, on_close, loop, on_batch=on_batch
-        )
-        channel.set_ready_callback(registration.ready)
-        registration.ready()  # drain anything buffered before we attached
-        return registration
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +509,8 @@ class ReactorTcpChannel(Channel):
         self._sock = sock
         _set_nodelay(sock)
         self._sock.setblocking(False)
-        self.reactor_loop = reactor.next_loop()
+        #: the owning reactor; layered channels pin to it via this name
+        self.reactor_loop = reactor.start()
         self.max_write_queue = max_write_queue
         self.send_timeout = send_timeout
         # inbound: raw bytes land in the decoder on the loop thread;
@@ -969,7 +893,7 @@ class ReactorTcpListener(Listener):
         if self._closed.is_set():
             return
         self._closed.set()
-        self._sock.close()
+        close_listener(self._sock)
 
 
 def connect_tcp_reactor(
@@ -992,16 +916,11 @@ _global_reactor: Optional[Reactor] = None
 
 
 def get_global_reactor() -> Reactor:
-    """The shared reactor every proxy/tunnel in this process registers on.
-
-    Loop count comes from ``$REPRO_REACTOR_LOOPS`` (default 1 — with the
-    GIL, extra loops only help when I/O itself saturates one core).
-    """
+    """The shared reactor every proxy/tunnel in this process registers on."""
     global _global_reactor
     with _global_lock:
         if _global_reactor is None:
-            loops = int(os.environ.get("REPRO_REACTOR_LOOPS", "1") or 1)
-            _global_reactor = Reactor(loops=max(1, loops), name="grid-reactor")
+            _global_reactor = Reactor(name="grid-reactor")
         return _global_reactor.start()
 
 

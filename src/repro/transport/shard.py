@@ -29,6 +29,8 @@ import socket
 import threading
 from typing import Any, Optional
 
+from repro.transport.tcp import close_listener
+
 __all__ = [
     "ShardAcceptor",
     "pick_mode",
@@ -200,7 +202,7 @@ class ShardAcceptor:
         if self._closed.is_set():
             return
         self._closed.set()
-        self._sock.close()
+        close_listener(self._sock)
         with self._lock:
             links, self._links = dict(self._links), {}
             self._rr = []

@@ -22,7 +22,7 @@ import socket
 from collections import deque
 from itertools import islice
 
-__all__ = ["advance_views", "send_views"]
+__all__ = ["advance_views", "close_listener", "send_views"]
 
 _IOV_MAX = 1024  # conservative bound on buffers per sendmsg call
 
@@ -37,6 +37,19 @@ def _set_nodelay(sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:
         pass
+
+
+def close_listener(sock: socket.socket) -> None:
+    """Close a listening socket, waking any thread blocked in ``accept``.
+
+    ``close`` alone leaves such a thread blocked on Linux until the next
+    connection arrives; ``shutdown`` makes its ``accept`` fail at once.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # not listening (never bound, or already closed)
+    sock.close()
 
 
 def advance_views(views: deque, nbytes: int) -> None:

@@ -88,8 +88,10 @@ class TestProxyFailure:
 
         # Send the request, then kill the peer before it can matter.
         thread = threading.Thread(target=submit)
-        grid.proxy_of("C").extension_handlers[Op.STATUS_QUERY] = (
-            lambda msg, peer: None  # swallow: never reply
+        grid.proxy_of("C").pipeline.register(
+            Op.STATUS_QUERY,
+            lambda msg, peer: None,  # swallow: never reply
+            blocking=True,
         )
         thread.start()
         time.sleep(0.1)

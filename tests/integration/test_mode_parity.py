@@ -293,15 +293,11 @@ EXPECTED_AUTH_OUTCOME = {
 }
 
 
-def test_token_auth_identical_across_engines(monkeypatch):
-    # The scenario *is* the token plane; pin the mode so a REPRO_AUTH=legacy
-    # sweep of the suite exercises legacy everywhere else but not here.
-    monkeypatch.setenv("REPRO_AUTH", "token")
+def test_token_auth_identical_across_engines():
     assert _run(_auth_scenario) == EXPECTED_AUTH_OUTCOME
 
 
 def test_token_auth_identical_under_sharding(monkeypatch):
-    monkeypatch.setenv("REPRO_AUTH", "token")
     monkeypatch.setenv("REPRO_SHARDS", "2")
     assert _run(_auth_scenario) == EXPECTED_AUTH_OUTCOME
 

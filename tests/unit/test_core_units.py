@@ -216,7 +216,7 @@ class TestTunnel:
         from repro.transport.reactor import Reactor
 
         a, b = make_tunnel_pair(pki)
-        reactor = Reactor(loops=1, name="lock-test").start()
+        reactor = Reactor(name="lock-test").start()
         outcome = {}
         done = threading.Event()
 

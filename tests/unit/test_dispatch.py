@@ -242,32 +242,29 @@ class TestGuards:
 
 
 # ---------------------------------------------------------------------------
-# Extension overrides
+# Extension handlers: one registry, replaced via register()
 # ---------------------------------------------------------------------------
 
 
 class TestOverrides:
     def test_override_beats_builtin_and_runs_on_pool(self, pipeline):
+        """Re-registering an op replaces the built-in handler, and
+        ``blocking=True`` runs the replacement on the worker pool."""
         pipeline.register(Op.STATUS_QUERY, lambda m, p: m.reply(Op.STATUS_REPORT, {}))
         names = []
         sink = _Sink()
-        pipeline.overrides[Op.STATUS_QUERY] = lambda message, peer: (
-            names.append(threading.current_thread().name),
-            message.reply(Op.STATUS_REPORT, {"status": "overridden"}),
-        )[1]
+        pipeline.register(
+            Op.STATUS_QUERY,
+            lambda message, peer: (
+                names.append(threading.current_thread().name),
+                message.reply(Op.STATUS_REPORT, {"status": "overridden"}),
+            )[1],
+            blocking=True,
+        )
         pipeline.dispatch(_message(op=Op.STATUS_QUERY), "p", sink)
         assert sink.arrived.wait(timeout=5.0)
         assert sink.replies[0].body == {"status": "overridden"}
         assert names[0].startswith("test-dispatch-worker")
-
-    def test_removed_override_restores_builtin(self, pipeline):
-        pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {"builtin": True}))
-        pipeline.overrides[Op.PING] = lambda m, p: m.reply(Op.PONG, {"builtin": False})
-        del pipeline.overrides[Op.PING]
-        sink = _Sink()
-        pipeline.dispatch(_message(), "p", sink)
-        assert sink.arrived.wait(timeout=2.0)
-        assert sink.replies[0].body == {"builtin": True}
 
 
 # ---------------------------------------------------------------------------

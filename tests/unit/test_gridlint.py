@@ -334,7 +334,7 @@ def spawn_worker(config):
 
 def worker_main(config):
     # Shared-nothing: the worker builds its own stack from scratch.
-    return Reactor(loops=1, name="worker")
+    return Reactor(name="worker")
 """,
     "repro/core/other.py": """\
 from repro.transport.reactor import get_global_reactor
@@ -746,6 +746,25 @@ class Service:
         loop.call_later(0.1, lambda: self._tick())
 
     def _tick(self):
+        time.sleep(1.0)
+"""
+    }
+    result = lint(tmp_path, files, select={"GL101"})
+    assert "GL101" in codes_of(result), render_text(result)
+
+
+def test_gl101_seeds_tunnel_batch_handlers(tmp_path):
+    """Control frames reach the proxy only through batch handlers, so a
+    ``tunnel.on_frame_batch`` registration is a reactor seed."""
+    files = {
+        "repro/core/svc.py": """\
+import time
+
+class Service:
+    def install(self, tunnel):
+        tunnel.on_frame_batch(1, lambda frames: self._on_batch(frames))
+
+    def _on_batch(self, frames):
         time.sleep(1.0)
 """
     }

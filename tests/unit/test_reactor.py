@@ -21,7 +21,7 @@ from repro.transport.reactor import (
 
 @pytest.fixture
 def reactor():
-    r = Reactor(loops=1, name="test-reactor").start()
+    r = Reactor(name="test-reactor").start()
     yield r
     r.stop()
 
@@ -101,12 +101,12 @@ class TestAddChannel:
         got = []
         done = threading.Event()
 
-        def on_frame(frame):
-            got.append(frame.payload)
+        def on_batch(frames):
+            got.extend(frame.payload for frame in frames)
             if len(got) == 5:
                 done.set()
 
-        reactor.add_channel(b, on_frame)
+        reactor.add_channel(b, on_batch)
         for i in range(5):
             a.send(_frame(b"m%d" % i))
         assert done.wait(timeout=2.0)
@@ -119,7 +119,10 @@ class TestAddChannel:
         got = []
         done = threading.Event()
         reactor.add_channel(
-            b, lambda f: (got.append(f.payload), len(got) == 3 and done.set())
+            b,
+            lambda fs: (
+                got.extend(f.payload for f in fs), len(got) == 3 and done.set()
+            ),
         )
         assert done.wait(timeout=2.0)
         assert got == [b"0", b"1", b"2"]
@@ -129,7 +132,7 @@ class TestAddChannel:
         closes = []
         closed = threading.Event()
         reactor.add_channel(
-            b, lambda f: None, on_close=lambda ch, exc: (closes.append(exc), closed.set())
+            b, lambda fs: None, on_close=lambda ch, exc: (closes.append(exc), closed.set())
         )
         a.close()
         assert closed.wait(timeout=2.0)
@@ -175,31 +178,36 @@ class TestAddChannel:
         got = []
         done = threading.Event()
 
-        def on_frame(frame):
-            got.append(frame.payload)
+        def on_batch(frames):
+            got.extend(frame.payload for frame in frames)
             if len(got) == len(expected):
                 done.set()
 
-        reactor.add_channel(faulty, on_frame)
+        reactor.add_channel(faulty, on_batch)
         for i in range(20):
             a.send(_frame(b"m%d" % i))
         assert done.wait(timeout=5.0)
         assert got == expected
 
     def test_handler_exception_does_not_stop_delivery(self, reactor):
+        """A batch handler that raises loses its own batch, never the
+        loop: the next batch is still delivered."""
         a, b = channel_pair("t")
         got = []
+        faulted = threading.Event()
         done = threading.Event()
 
-        def on_frame(frame):
-            got.append(frame.payload)
-            if frame.payload == b"bad":
+        def on_batch(frames):
+            got.extend(frame.payload for frame in frames)
+            if b"bad" in got and not faulted.is_set():
+                faulted.set()
                 raise RuntimeError("handler fault")
-            if frame.payload == b"last":
+            if b"last" in got:
                 done.set()
 
-        reactor.add_channel(b, on_frame)
+        reactor.add_channel(b, on_batch)
         a.send(_frame(b"bad"))
+        assert faulted.wait(timeout=2.0)
         a.send(_frame(b"last"))
         assert done.wait(timeout=2.0)
         assert got == [b"bad", b"last"]
@@ -218,9 +226,13 @@ class TestReactorTcp:
         try:
             got = []
             done = threading.Event()
+            # Zero-copy payloads are valid only during the batch: copy.
             reactor.add_channel(
                 server,
-                lambda f: (got.append(f.payload), len(got) == 10 and done.set()),
+                lambda fs: (
+                    got.extend(bytes(f.payload) for f in fs),
+                    len(got) == 10 and done.set(),
+                ),
             )
             client.send_many(_frame(b"n%d" % i) for i in range(10))
             assert done.wait(timeout=5.0)
@@ -383,7 +395,7 @@ class TestBackpressure:
 class TestBatchDelivery:
     def test_buffered_frames_arrive_as_one_batch(self, reactor):
         """Frames queued before registration drain in a single
-        ``on_batch`` call, not five ``on_frame`` calls."""
+        ``on_batch`` call, not five single-frame calls."""
         a, b = channel_pair("t")
         for i in range(5):
             a.send(_frame(b"m%d" % i))
@@ -415,7 +427,7 @@ class TestBatchDelivery:
 
     def test_add_channel_requires_a_callback(self, reactor):
         a, b = channel_pair("t")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             reactor.add_channel(b)
 
     def test_tcp_round_trip_via_batch(self, reactor):
@@ -546,14 +558,26 @@ class TestWriteCoalescing:
 
 class TestLifecycle:
     def test_restart_after_stop_runs_timers(self):
-        """A stopped reactor must not silently drop work handed to dead
-        loops: the next use restarts with fresh loops."""
-        r = Reactor(loops=1, name="restart-test").start()
+        """A stopped reactor must not silently drop work handed to a dead
+        loop: the next use restarts it with a fresh loop thread."""
+        r = Reactor(name="restart-test").start()
         r.stop()
         fired = threading.Event()
-        r.call_later(0.0, fired.set)  # next_loop() restarts transparently
+        r.call_later(0.0, fired.set)  # restarts transparently
         assert fired.wait(timeout=5.0)
         r.stop()
+
+    def test_one_loop_thread_per_reactor(self):
+        """A reactor is one event-loop thread, however often it starts."""
+        r = Reactor(name="one-loop-test")
+        try:
+            for _ in range(3):
+                r.start()
+            names = [t.name for t in threading.enumerate()]
+            assert names.count("one-loop-test") == 1
+        finally:
+            r.stop()
+        assert "one-loop-test" not in [t.name for t in threading.enumerate()]
 
     def test_on_reactor_thread_detection(self, reactor):
         assert on_reactor_thread() is False  # the test runner's thread
@@ -564,7 +588,7 @@ class TestLifecycle:
             result["on_loop"] = on_reactor_thread()
             done.set()
 
-        reactor.next_loop().schedule(probe)
+        reactor.schedule(probe)
         assert done.wait(timeout=5.0)
         assert result["on_loop"] is True
 
@@ -584,14 +608,14 @@ class TestThreadBudget:
         done = threading.Event()
         lock = threading.Lock()
 
-        def on_frame(frame):
+        def on_batch(frames):
             with lock:
-                seen[0] += 1
+                seen[0] += len(frames)
                 if seen[0] == 50:
                     done.set()
 
         for a, b in pairs:
-            reactor.add_channel(b, on_frame)
+            reactor.add_channel(b, on_batch)
         assert threading.active_count() <= before + 1
         for a, _ in pairs:
             a.send(_frame(b"ping"))

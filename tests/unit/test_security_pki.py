@@ -1,5 +1,7 @@
 """Unit tests for certificates, the CA, handshake, auth and tickets."""
 
+import time
+
 import pytest
 
 from repro.security.auth import (
@@ -22,6 +24,9 @@ from repro.transport.frames import Frame, FrameKind
 from repro.transport.inproc import channel_pair
 
 KEY_BITS = 512
+#: a rejected handshake fails on both sides in about one round trip,
+#: never by waiting out the 30 s handshake timeout
+REJECT_BOUND_S = 2.0
 
 
 class FakeClock:
@@ -199,12 +204,15 @@ class TestHandshake:
                 errors.append(exc)
 
         thread = threading.Thread(target=server)
+        start = time.monotonic()
         thread.start()
         with pytest.raises(HandshakeError):
             # Client trusts the rogue CA, so it rejects the server's cert
             # (signed by the real CA) — either side may fail first.
             connect_secure(a, proxy_key, client_cert, rogue_ca.public_key, clock)
         thread.join(timeout=10.0)
+        assert errors and not thread.is_alive()
+        assert time.monotonic() - start < REJECT_BOUND_S
 
     def test_expired_server_cert_rejected(self, ca, clock, proxy_key, node_key):
         import threading
@@ -213,18 +221,23 @@ class TestHandshake:
         server_cert = ca.issue("s", "proxy", node_key.public, lifetime=10.0)
         clock.now += 100.0
         a, b = channel_pair("hs")
+        errors = []
 
         def server():
             try:
                 accept_secure(b, node_key, server_cert, ca.public_key, clock)
-            except HandshakeError:
-                pass
+            except HandshakeError as exc:
+                errors.append(exc)
 
         thread = threading.Thread(target=server)
+        start = time.monotonic()
         thread.start()
         with pytest.raises(HandshakeError, match="certificate"):
             connect_secure(a, proxy_key, client_cert, ca.public_key, clock)
         thread.join(timeout=10.0)
+        # The rejected server learns of it at once, not after its timeout.
+        assert errors and not thread.is_alive()
+        assert time.monotonic() - start < REJECT_BOUND_S
 
     def test_role_enforcement(self, ca, clock, proxy_key, node_key):
         client, server = run_handshake(
@@ -255,9 +268,12 @@ class TestHandshake:
                 errors.append(str(exc))
 
         thread = threading.Thread(target=server)
+        start = time.monotonic()
         thread.start()
         with pytest.raises(HandshakeError):
+            # The revoked client is the rejected side.
             connect_secure(a, proxy_key, client_cert, ca.public_key, clock)
+        assert time.monotonic() - start < REJECT_BOUND_S
         thread.join(timeout=10.0)
         assert any("revoked" in e for e in errors)
 

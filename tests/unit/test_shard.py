@@ -182,6 +182,16 @@ class TestShardAcceptor:
             acceptor.close()
             live.close()
 
+    def test_close_wakes_the_blocked_accept_thread(self):
+        """Closing the acceptor must end its accept thread at once, not
+        leave close() waiting out its join timeout."""
+        acceptor = ShardAcceptor(self._listener(), name="close-test").start()
+        time.sleep(0.05)  # let the thread block in accept()
+        start = time.monotonic()
+        acceptor.close()
+        assert time.monotonic() - start < 1.0
+        assert not acceptor._thread.is_alive()
+
 
 # ---------------------------------------------------------------------------
 # Snapshot folding (SHARD_STATS → OBS_DUMP)

@@ -45,6 +45,7 @@ SEED_CALL_NAMES = frozenset(
         "add_channel",
         "register",
         "on_frame",
+        "on_frame_batch",
         "on_close",
         "add_guard",
         "set_default",
